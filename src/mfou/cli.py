@@ -26,7 +26,6 @@ EXIT_NUMERICAL = 3
 EXIT_GATE = 4
 
 THREADS_ENV = "MFOU_THREADS"
-CACHE_ENV = "MFOU_CACHE_DIR"
 _BLAS_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -216,7 +215,6 @@ _MAIN_EPILOG = f"""exit codes:
 environment:
   {THREADS_ENV:<16} BLAS thread budget (default: logical cores); the
                    --threads flag overrides it
-  {CACHE_ENV:<16} kernel disk cache directory (default: ~/.cache/mfou)
 """
 
 
@@ -306,48 +304,21 @@ def _apply_thread_budget(budget: int | None) -> None:
         os.environ[var] = str(budget)
 
 
-def _cache_dir() -> str:
-    return os.environ.get(CACHE_ENV) or os.path.join(
-        os.path.expanduser("~"), ".cache", "mfou"
-    )
+def _print_diagnostics(label: str, diagnostics: dict) -> None:
+    """One `-v` line on stderr: the kernel health numbers behind a result."""
+    fields = " ".join(f"{key}={_fmt(value)}" for key, value in sorted(diagnostics.items()))
+    print(f"{label}: {fields}", file=sys.stderr)
 
 
-def _cached_kernel(hurst: float, horizon: float, cells: int, verbose: int = 0):
-    """Disk-backed kernel table, keyed by (H, T, n, scheme version)."""
-    import numpy as np
-
+def _kernel(typed: dict, verbose: int):
+    """Transfer kernel for the section's H, T and cells; `-v` prints its health."""
     from .numerics import TimeGrid
-    from .transform import SCHEME_VERSION, TransferKernel, build_kernel
+    from .transform import build_kernel
 
-    grid = TimeGrid(horizon=horizon, cells=cells)
-    name = f"g-v{SCHEME_VERSION}-H{float(hurst)!r}-T{float(horizon)!r}-n{cells}.npz"
-    path = os.path.join(_cache_dir(), name)
-    if os.path.exists(path):
-        data = np.load(path)
-        if verbose:
-            print(f"kernel cache hit: {path}", file=sys.stderr)
-        return TransferKernel(
-            hurst=hurst,
-            grid=grid,
-            matrix=data["matrix"],
-            residuals=data["residuals"],
-            interpolated=data["interpolated"],
-            spot_error=float(data["spot_error"]),
-            meta={"scheme_version": SCHEME_VERSION, "cache": path},
-        )
-    kernel = build_kernel(hurst, grid)
-    os.makedirs(_cache_dir(), exist_ok=True)
-    tmp = path + ".tmp.npz"
-    np.savez_compressed(
-        tmp,
-        matrix=kernel.matrix,
-        residuals=kernel.residuals,
-        interpolated=kernel.interpolated,
-        spot_error=kernel.spot_error,
-    )
-    os.replace(tmp, path)
+    kernel = build_kernel(typed["H"], TimeGrid(horizon=typed["T"], cells=typed["cells"]))
     if verbose:
-        print(f"kernel cache write: {path}", file=sys.stderr)
+        health = {key: kernel.meta[key] for key in ("max_residual", "min_pivot")}
+        _print_diagnostics(f"kernel H={_fmt(typed['H'])} n={typed['cells']}", health)
     return kernel
 
 
@@ -423,7 +394,7 @@ def _cmd_simulate(args, typed) -> int:
 def _cmd_kernel(args, typed) -> int:
     from .transform import quadratic_variation
 
-    kernel = _cached_kernel(typed["H"], typed["T"], typed["cells"], args.verbose)
+    kernel = _kernel(typed, args.verbose)
     qv = quadratic_variation(kernel)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, typed["out"])
@@ -459,14 +430,13 @@ def _cmd_kernel(args, typed) -> int:
 
 def _cmd_estimate(args, typed) -> int:
     from .inference import estimate_batch, write_estimates_csv
-    from .numerics import RandomStream, TimeGrid
+    from .numerics import RandomStream
     from .paths import ProcessSpec, sample_state_batch
     from .transform import quadratic_variation
 
-    grid = TimeGrid(horizon=typed["T"], cells=typed["cells"])
-    kernel = _cached_kernel(typed["H"], typed["T"], typed["cells"], args.verbose)
+    kernel = _kernel(typed, args.verbose)
     qv = quadratic_variation(kernel)
-    spec = ProcessSpec(hurst=typed["H"], theta=typed["theta"], grid=grid)
+    spec = ProcessSpec(hurst=typed["H"], theta=typed["theta"], grid=kernel.grid)
     base = RandomStream(master_seed=typed["seed"], key=(0,))
     states = sample_state_batch(spec, base, range(typed["reps"]))
     records = estimate_batch(states, kernel, qv, typed["theta"], range(typed["reps"]))
@@ -480,7 +450,7 @@ def _cmd_estimate(args, typed) -> int:
 
 def _cmd_cgf(args, typed) -> int:
     from .ldp import cgf_limit, empirical_cgf, k_limit
-    from .numerics import RandomStream, TimeGrid
+    from .numerics import RandomStream
     from .paths import ProcessSpec
     from .riccati import k_T_via_liouville, k_T_via_riccati, solve_riccati
     from .transform import quadratic_variation
@@ -493,10 +463,9 @@ def _cmd_cgf(args, typed) -> int:
             for b in b_grid:
                 rows.append(("analytic", a, b, -b, horizon, cgf_limit(a, b, theta), 0.0))
     else:
-        kernel = _cached_kernel(typed["H"], horizon, typed["cells"], args.verbose)
+        kernel = _kernel(typed, args.verbose)
         qv = quadratic_variation(kernel)
-        grid = TimeGrid(horizon=horizon, cells=typed["cells"])
-        spec = ProcessSpec(hurst=typed["H"], theta=theta, grid=grid)
+        spec = ProcessSpec(hurst=typed["H"], theta=theta, grid=kernel.grid)
         for m_idx, mu in enumerate(typed["mu"]):
             if args.method == "riccati":
                 value, err = k_T_via_riccati(solve_riccati(theta, mu, qv)), 0.0
@@ -581,6 +550,8 @@ def _cmd_experiment(args, typed, budget) -> int:
     }[kind]
     report = runner(config)
     written = write_outputs(report, args.out)
+    if args.verbose:
+        _print_diagnostics(f"{report.name} kernels", report.manifest["diagnostics"])
     for path in written:
         print(path)
     print(f"{report.name}: pass={'true' if report.passed else 'false'}")
@@ -599,7 +570,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     helps = {
         "simulate": "sample one mixed path and write it as CSV",
-        "kernel": "build (or load from cache) the transfer kernel tables",
+        "kernel": "build the transfer kernel tables",
         "estimate": "simulate replications and write drift estimates",
         "cgf": "evaluate the integrated-square CGF by one method",
         "rate": "print rate-function values at a point, all conventions",

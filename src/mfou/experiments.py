@@ -351,13 +351,26 @@ def _check_prob(p: float, lo: float, hi: float, context: str) -> None:
         raise ExperimentInvalid(f"{context}: interval [{lo}, {hi}] around {p} is malformed")
 
 
-def _base_manifest(name: str, config: ExperimentConfig, t0: float) -> dict:
+def _build_kernel(hurst: float, grid: TimeGrid, built: list):
+    """build_kernel, with the kernel's health meta appended to `built`."""
+    kernel = build_kernel(hurst, grid)
+    built.append(kernel.meta)
+    return kernel
+
+
+def _base_manifest(name: str, config: ExperimentConfig, t0: float, built: list) -> dict:
+    """Manifest head; `diagnostics` holds the worst health over the kernels built."""
     return {
         "experiment": name,
         "config": config.to_manifest(),
         "config_hash": config.config_hash(),
         "version": __version__,
         "wall_clock_seconds": time.time() - t0,
+        "diagnostics": {
+            "kernels": len(built),
+            "max_residual": max(meta["max_residual"] for meta in built),
+            "min_pivot": min(meta["min_pivot"] for meta in built),
+        },
     }
 
 
@@ -374,11 +387,11 @@ def run_normality(config: ExperimentConfig) -> ExperimentReport:
         raise ConfigError(f"normality needs at least {MIN_NORMALITY_REPS} reps, got {config.reps}")
     t0 = time.time()
     sd = math.sqrt(2.0 * config.theta)
-    rows, cells = [], []
+    rows, cells, built = [], [], []
     for h_idx, hurst in enumerate(config.hurst):
         for t_idx, horizon in enumerate(config.horizons):
             grid = config.grid_for(horizon)
-            kernel = build_kernel(hurst, grid)
+            kernel = _build_kernel(hurst, grid, built)
             qv = quadratic_variation(kernel)
             spec = ProcessSpec(hurst=hurst, theta=config.theta, grid=grid)
             draws = _collect_cell(config, spec, kernel, qv, (_EXP_NORMALITY, h_idx, t_idx))
@@ -410,7 +423,7 @@ def run_normality(config: ExperimentConfig) -> ExperimentReport:
                     "pass": ok,
                 }
             )
-    manifest = _base_manifest("normality", config, t0)
+    manifest = _base_manifest("normality", config, t0, built)
     manifest["cells"] = cells
     manifest["pass"] = all(c["pass"] for c in cells)
     return ExperimentReport("normality", NORMALITY_COLUMNS, tuple(rows), manifest)
@@ -487,19 +500,19 @@ def _preferred(estimates) -> dict:
     return estimates[1]
 
 
-def _scan_tails(config: ExperimentConfig, exp_id: int, gammas):
+def _scan_tails(config: ExperimentConfig, exp_id: int, gammas, built: list):
     """Per-(H, T) simulation shared across tail sets.
 
     Returns (cell records, per-(H, gamma) series) where each series entry is
     the preferred estimate (plain unless its hit count is too thin and a
-    tilted pass exists).
+    tilted pass exists). The meta of every kernel built is appended to `built`.
     """
     records = []
     series = {}
     for h_idx, hurst in enumerate(config.hurst):
         for t_idx, horizon in enumerate(config.horizons):
             grid = config.grid_for(horizon)
-            kernel = build_kernel(hurst, grid)
+            kernel = _build_kernel(hurst, grid, built)
             qv = quadratic_variation(kernel)
             spec = ProcessSpec(hurst=hurst, theta=config.theta, grid=grid)
             draws = _collect_cell(config, spec, kernel, qv, (exp_id, h_idx, t_idx, 0))
@@ -579,7 +592,8 @@ def run_tail_slopes(config: ExperimentConfig) -> ExperimentReport:
         raise ConfigError("tail slope study needs at least one tail interval")
     t0 = time.time()
     _expected_hits_warning(config)
-    records, series = _scan_tails(config, _EXP_TAILS, config.tails)
+    built = []
+    records, series = _scan_tails(config, _EXP_TAILS, config.tails, built)
     slope_info = {}
     for (h_idx, g_idx), points in series.items():
         gamma = config.tails[g_idx]
@@ -625,7 +639,7 @@ def run_tail_slopes(config: ExperimentConfig) -> ExperimentReport:
                 )
             )
 
-    manifest = _base_manifest("tails", config, t0)
+    manifest = _base_manifest("tails", config, t0, built)
     manifest["cells"] = [
         {
             "H": rec["H"],
@@ -698,12 +712,12 @@ def run_cgf_convergence(config: ExperimentConfig) -> ExperimentReport:
                 f"mu={mu} too close to the domain edge -theta^2/2; need mu >= {floor}"
             )
     t0 = time.time()
-    rows, cells = [], []
+    rows, cells, built = [], [], []
     dists = {}
     for h_idx, hurst in enumerate(config.hurst):
         for t_idx, horizon in enumerate(config.horizons):
             grid = config.grid_for(horizon)
-            kernel = build_kernel(hurst, grid)
+            kernel = _build_kernel(hurst, grid, built)
             qv = quadratic_variation(kernel)
             spec = ProcessSpec(hurst=hurst, theta=config.theta, grid=grid)
             for m_idx, mu in enumerate(config.mu_grid):
@@ -772,7 +786,7 @@ def run_cgf_convergence(config: ExperimentConfig) -> ExperimentReport:
                 "pass": bool(monotone and seq[-1] <= CGF_LIMIT_GATE),
             }
         )
-    manifest = _base_manifest("cgf", config, t0)
+    manifest = _base_manifest("cgf", config, t0, built)
     manifest["cells"] = cells
     manifest["trends"] = trends
     manifest["pass"] = bool(
@@ -800,7 +814,8 @@ def run_h_invariance(config: ExperimentConfig) -> ExperimentReport:
     t0 = time.time()
     gamma = config.tails[0]
     _expected_hits_warning(config)
-    records, series = _scan_tails(config, _EXP_HINV, (gamma,))
+    built = []
+    records, series = _scan_tails(config, _EXP_HINV, (gamma,), built)
     rows, fits = [], {}
     for h_idx, hurst in enumerate(config.hurst):
         info = _series_slopes(series[(h_idx, 0)])
@@ -838,7 +853,7 @@ def run_h_invariance(config: ExperimentConfig) -> ExperimentReport:
                     "pass": bool(diff <= PAIR_SE_FACTOR * pooled),
                 }
             )
-    manifest = _base_manifest("h_invariance", config, t0)
+    manifest = _base_manifest("h_invariance", config, t0, built)
     manifest["cells"] = [
         {
             "H": rec["H"],

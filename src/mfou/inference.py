@@ -26,7 +26,7 @@ respect to the bracket) is kept as a cross-check of the two-term formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,6 @@ class TransformedPath:
     V: np.ndarray
     Q: np.ndarray
     theta_true: float
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         m = self.grid.cells + 1
@@ -68,7 +67,6 @@ class EstimateRecord:
     theta_hat: float
     numerator: float
     denominator: float
-    interpolated_kernel: bool = False
 
 
 def _state_of(path) -> np.ndarray:
@@ -126,8 +124,11 @@ def compute_Q_direct(path, kernel: TransferKernel, qv: QVTable) -> np.ndarray:
     coefficient one on the newest path increment, so no path-roughness noise
     enters the comparison with compute_Q. G extends past the diagonal by
     G(s, t) = <M>_t for s >= t, which the cumulative sums produce on their
-    own; its horizon derivative uses three-point stencils across solved
-    columns only (one extra horizon is solved past T for the last column).
+    own. Its horizon derivative at t_j is the central difference between
+    horizons t_{j-1} and t_{j+1} (one extra horizon is solved past T for the
+    last one), taken at the nodes t_0..t_{j-1} that the sum over cells i < j
+    reads; none lies past t_{j-1}, where t -> G(s, t) would have its kink
+    t = s inside the stencil.
     Cross-check only; the estimator pipeline uses compute_Q.
     """
     x = _state_of(path)
@@ -136,56 +137,26 @@ def compute_Q_direct(path, kernel: TransferKernel, qv: QVTable) -> np.ndarray:
         raise GridMismatch("kernel and bracket table built on different grids")
     if x.shape != (n + 1,):
         raise GridMismatch(f"path has {x.shape[0]} nodes, kernel grid has {n + 1}")
-    k = kernel.matrix
     ext = solve_g(kernel.hurst, TimeGrid(horizon=kernel.grid.horizon + dt, cells=n + 1), n + 1)
 
-    # primitive at the nodes per horizon; rows saturate at <M>_horizon
+    # big_g[j, s] = G(t_s, t_j) for horizons j = 0..n+1; rows saturate at <M>_{t_j}
+    # and row 0 is the horizon-0 continuation G(s, 0) = 0
     big_g = np.zeros((n + 2, n + 1))
-    big_g[1:-1, 1:] = dt * np.cumsum(k, axis=1)
+    big_g[1:-1, 1:] = dt * np.cumsum(kernel.matrix, axis=1)
     big_g[-1, 1:] = dt * np.cumsum(ext[:n])
-    # row 0 is the horizon-0 continuation G(s, 0) = 0
 
-    prev_solved = np.zeros(n + 1, dtype=int)
-    next_solved = np.empty(n + 1, dtype=int)
-    last = 0
-    for j in range(1, n + 1):
-        prev_solved[j] = last
-        if not kernel.interpolated[j - 1]:
-            last = j
-    nxt = n + 1
-    for j in range(n, 0, -1):
-        next_solved[j] = nxt
-        if not kernel.interpolated[j - 1]:
-            nxt = j
-
-    dx = np.diff(x)
+    # row j-1: dG/dt(t_i, t_j) on the cells i < j that the Ito sum reads
+    dg_dt = np.tril(big_g[2:, :n] - big_g[:-2, :n]) / (2.0 * dt)
     q = np.empty(n + 1)
     q[0] = 0.0
-    for j in range(1, n + 1):
-        b = next_solved[j]
-        a = prev_solved[j]
-        h1, h2 = float(j - a), float(b - j)
-        m = min(a + 1, j)
-        w = np.empty(j)
-        # three-point derivative in the horizon at fixed node, second order
-        # for any spacing; valid only while the node is inside horizon a,
-        # since t -> G(s, t) has a kink at t = s
-        w[:m] = (
-            h1 * h1 * big_g[b, :m]
-            - h2 * h2 * big_g[a, :m]
-            + (h2 * h2 - h1 * h1) * big_g[j, :m]
-        ) / (h1 * h2 * (h1 + h2) * dt)
-        w[m:] = (big_g[b, m:j] - big_g[j, m:j]) / (h2 * dt)
-        correction = float(np.dot(w, dx[:j]))
-        q[j] = x[j] - correction / qv.derivative[j]
+    q[1:] = x[1:] - (dg_dt @ np.diff(x)) / qv.derivative[1:]
     return q
 
 
 def transform_path(path, kernel: TransferKernel, qv: QVTable, theta_true: float) -> TransformedPath:
     z = compute_Z(path, kernel)
     q, v = compute_Q(z, qv)
-    meta = {"interpolated_kernel": kernel.any_interpolated}
-    return TransformedPath(grid=kernel.grid, Z=z, V=v, Q=q, theta_true=theta_true, meta=meta)
+    return TransformedPath(grid=kernel.grid, Z=z, V=v, Q=q, theta_true=theta_true)
 
 
 def sufficient_statistics(tp: TransformedPath, qv: QVTable) -> tuple[float, float]:
@@ -247,7 +218,6 @@ def estimate_batch(
     q, _ = compute_Q_batch(z, qv)
     numerator, denominator = sufficient_statistics_batch(q, z, qv)
     records = []
-    interp = kernel.any_interpolated
     for r, rep in enumerate(rep_ids):
         den = float(denominator[r])
         theta_hat = np.nan if den <= DEGENERATE_DENOMINATOR else -float(numerator[r]) / den
@@ -261,7 +231,6 @@ def estimate_batch(
                 theta_hat=theta_hat,
                 numerator=float(numerator[r]),
                 denominator=den,
-                interpolated_kernel=interp,
             )
         )
     return records
@@ -276,7 +245,6 @@ ESTIMATE_COLUMNS = (
     "theta_hat",
     "numerator",
     "denominator",
-    "interpolated_kernel",
 )
 
 
@@ -293,6 +261,5 @@ def write_estimates_csv(records, fileobj) -> None:
             repr(float(rec.theta_hat)),
             repr(float(rec.numerator)),
             repr(float(rec.denominator)),
-            "1" if rec.interpolated_kernel else "0",
         )
         fileobj.write(",".join(row) + "\n")

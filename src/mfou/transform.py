@@ -19,17 +19,21 @@ so d/ds of the cell contribution is |s-a|^{2H-1} sign(s-a) - |s-b|^{2H-1}
 sign(s-b) and no quadrature error enters the collocation matrix. At H = 1/2
 the matrix reduces to 2*I and g = 1/2 exactly.
 
-Cost control: columns are solved densely for every horizon index up to 512
-and every 4th index beyond, the rest interpolated in the horizon direction;
-interpolation quality is monitored by exactly solving a few skipped columns.
+Cost: entry (i, k) of the collocation operator depends on |i - k| only,
+because m_i - t_k = (i - k + 1/2) dt and |x|^{2H-1} sign(x) is odd, so the
+operator A is the symmetric Toeplitz matrix of its first column. The
+Levinson-Durbin recursion (Levinson 1947; Golub & Van Loan, Matrix
+Computations, sec. 4.7) solves A_j g = 1 for every leading block j in one
+O(n^2) pass, which is exactly one kernel column per horizon. Every column is
+then checked against RESIDUAL_BOUND through the single product matrix @ A.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .errors import (
     GridMismatch,
@@ -39,17 +43,10 @@ from .errors import (
 )
 from .numerics import TimeGrid, finite_diff_derivative
 
-SCHEME_VERSION = 1
+SCHEME_VERSION = 2
 
-# Contract bound on the collocation residual of solved columns.
+# Contract bound on the collocation residual of every kernel column.
 RESIDUAL_BOUND = 1e-9
-
-# Horizon thinning: dense up to this column, then every `_THIN_STRIDE`-th.
-_THIN_LIMIT = 1024
-_THIN_STRIDE = 4
-_SPOT_CHECKS = 5
-# Width of the diagonal band interpolated in the distance-to-horizon frame.
-_EDGE_FRAME_CELLS = 32
 
 
 def _phi(x: np.ndarray, hurst: float) -> np.ndarray:
@@ -57,30 +54,77 @@ def _phi(x: np.ndarray, hurst: float) -> np.ndarray:
     return np.sign(x) * np.abs(x) ** (2.0 * hurst - 1.0)
 
 
-def collocation_matrix(hurst: float, grid: TimeGrid) -> np.ndarray:
-    """Full n x n midpoint-collocation operator; horizon t_j uses its leading block."""
-    nodes = grid.nodes
-    mids = grid.midpoints
-    left = _phi(mids[:, None] - nodes[None, :-1], hurst)
-    right = _phi(mids[:, None] - nodes[None, 1:], hurst)
-    a = hurst * (left - right)
-    a[np.diag_indices_from(a)] += 1.0
-    return a
+def collocation_column(hurst: float, grid: TimeGrid) -> np.ndarray:
+    """First column c of the n x n midpoint-collocation operator A = toeplitz(c).
+
+    c(d) = delta_0(d) + H (phi((d + 1/2) dt) - phi((d - 1/2) dt)), d = 0..n-1;
+    horizon t_j uses the leading j x j block of A.
+    """
+    offsets = (np.arange(grid.cells) + 0.5) * grid.dt
+    column = hurst * (_phi(offsets, hurst) - _phi(offsets - grid.dt, hurst))
+    column[0] += 1.0
+    return column
 
 
-def solve_g(hurst: float, grid: TimeGrid, horizon_index: int, operator=None) -> np.ndarray:
-    """Cell values of g(., t_j) for horizon index j (1-based node index)."""
+def _levinson(column: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """Solve toeplitz(column)[:j, :j] g = 1 for every j by the Levinson recursion.
+
+    Golub & Van Loan, Algorithm 4.7.2, on the unit-diagonal matrix A / c_0.
+    Row j-1 of `rows`, when given, receives the block-j solution. Returns the
+    full-size solution and the smallest pivot beta * c_0 (the ratio of
+    consecutive leading minors). A zero or NaN pivot leaves non-finite
+    values in the solutions, which the residual check rejects.
+    """
+    n = column.size
+    c0 = column[0]
+    x = np.empty(n)  # block-k solution of A x = 1
+    y = np.empty(n)  # block-k solution of the Yule-Walker system
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = column[1:] / c0
+        b = 1.0 / c0
+        x[0] = b
+        if rows is not None:
+            rows[0, 0] = b
+        beta, min_pivot = 1.0, c0
+        alpha = -r[0] if n > 1 else 0.0
+        y[0] = alpha
+        for k in range(1, n):
+            beta *= 1.0 - alpha * alpha
+            min_pivot = min(min_pivot, beta * c0)
+            mu = (b - r[:k] @ x[k - 1 :: -1]) / beta
+            x[:k] += mu * y[k - 1 :: -1]
+            x[k] = mu
+            if rows is not None:
+                rows[k, : k + 1] = x[: k + 1]
+            if k < n - 1:
+                alpha = (-r[k] - r[:k] @ y[k - 1 :: -1]) / beta
+                y[:k] += alpha * y[k - 1 :: -1]
+                y[k] = alpha
+    return x, float(min_pivot)
+
+
+def _residual(image: np.ndarray, j: int) -> float:
+    """max |A_j g - 1| given the image A_j g of kernel column j; raises over the bound."""
+    residual = float(np.max(np.abs(image - 1.0)))
+    if not residual <= RESIDUAL_BOUND:  # so NaN from a zero or NaN pivot fails too
+        raise ResidualTooLarge(residual, RESIDUAL_BOUND, f"kernel column {j}")
+    return residual
+
+
+def solve_g(hurst: float, grid: TimeGrid, horizon_index: int, column=None) -> np.ndarray:
+    """Cell values of g(., t_j) for horizon index j (1-based node index).
+
+    `column` replaces the operator's Toeplitz column (at least j entries).
+    """
     if not (0.0 < hurst < 1.0):
         raise ValueError(f"kernel equation requires H in (0, 1), got {hurst}")
     j = int(horizon_index)
     if j < 1 or j > grid.cells:
         raise NodeOutOfRange(f"horizon index {j} outside 1..{grid.cells}")
-    a = collocation_matrix(hurst, grid) if operator is None else operator
-    block = a[:j, :j]
-    g = np.linalg.solve(block, np.ones(j))
-    residual = float(np.max(np.abs(block @ g - 1.0)))
-    if residual > RESIDUAL_BOUND:
-        raise ResidualTooLarge(residual, RESIDUAL_BOUND, f"kernel column {j}")
+    c = collocation_column(hurst, grid) if column is None else np.asarray(column, dtype=float)
+    c = c[:j]
+    g, _ = _levinson(c)
+    _residual(toeplitz(c) @ g, j)
     return g
 
 
@@ -89,17 +133,15 @@ class TransferKernel:
     """Triangular table of kernel values.
 
     `matrix[j-1, i]` is the value of g on cell i for horizon t_j (zero for
-    i >= j). `interpolated[j-1]` marks columns filled by interpolation
-    rather than a dense solve; `spot_error` is the worst deviation observed
-    when re-solving a sample of interpolated columns exactly.
+    i >= j); `residuals[j-1]` is that column's collocation residual. `meta`
+    records the worst residual (`max_residual`) and the smallest Levinson
+    pivot (`min_pivot`).
     """
 
     hurst: float
     grid: TimeGrid
     matrix: np.ndarray
     residuals: np.ndarray
-    interpolated: np.ndarray
-    spot_error: float = 0.0
     meta: dict = field(default_factory=dict)
 
     def column(self, horizon_index: int) -> np.ndarray:
@@ -108,74 +150,26 @@ class TransferKernel:
             raise NodeOutOfRange(f"horizon index {j} outside 1..{self.grid.cells}")
         return self.matrix[j - 1, :j]
 
-    @property
-    def any_interpolated(self) -> bool:
-        return bool(np.any(self.interpolated))
-
-
-def _solved_indices(n: int) -> list[int]:
-    dense = list(range(1, min(n, _THIN_LIMIT) + 1))
-    if n > _THIN_LIMIT:
-        dense += [j for j in range(_THIN_LIMIT + 1, n + 1) if j % _THIN_STRIDE == 0]
-        # the trailing horizons feed the estimator at T and the edge of any
-        # horizon-derivative stencil, so keep them dense
-        dense += [j for j in range(n - _THIN_STRIDE + 1, n + 1) if j not in dense]
-        dense.sort()
-    return dense
-
 
 def build_kernel(hurst: float, grid: TimeGrid) -> TransferKernel:
-    """Solve (or interpolate) kernel columns for every horizon on the grid."""
+    """Solve the kernel column of every horizon on the grid in one Levinson pass."""
     n = grid.cells
-    operator = collocation_matrix(hurst, grid)
+    column = collocation_column(hurst, grid)
     matrix = np.zeros((n, n))
-    residuals = np.full(n, np.nan)
-    interpolated = np.ones(n, dtype=bool)
-
-    solved = _solved_indices(n)
-    for j in solved:
-        block = operator[:j, :j]
-        g = np.linalg.solve(block, np.ones(j))
-        residual = float(np.max(np.abs(block @ g - 1.0)))
-        if residual > RESIDUAL_BOUND:
-            raise ResidualTooLarge(residual, RESIDUAL_BOUND, f"kernel column {j}")
-        matrix[j - 1, :j] = g
-        residuals[j - 1] = residual
-        interpolated[j - 1] = False
-
-    skipped = [j for j in range(1, n + 1) if interpolated[j - 1]]
-    for j in skipped:
-        j0 = j - (j % _THIN_STRIDE)
-        j1 = min(j0 + _THIN_STRIDE, n)
-        w = (j - j0) / (j1 - j0)
-        # Near the diagonal the kernel is a profile in the distance to the
-        # horizon, so cells within _EDGE_FRAME_CELLS interpolate between
-        # equal-distance cells of the bracketing columns; deeper cells
-        # interpolate at fixed cell index.
-        cells = np.arange(j)
-        dist = j - cells
-        lo_idx = np.where(dist <= _EDGE_FRAME_CELLS, j0 - dist, cells)
-        hi_idx = np.where(dist <= _EDGE_FRAME_CELLS, j1 - dist, cells)
-        matrix[j - 1, :j] = (1.0 - w) * matrix[j0 - 1, lo_idx] + w * matrix[j1 - 1, hi_idx]
-
-    spot_error = 0.0
-    if skipped:
-        picks = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=SCHEME_VERSION, spawn_key=(n,)))
-        ).choice(len(skipped), size=min(_SPOT_CHECKS, len(skipped)), replace=False)
-        for idx in sorted(picks):
-            j = skipped[idx]
-            exact = np.linalg.solve(operator[:j, :j], np.ones(j))
-            spot_error = max(spot_error, float(np.max(np.abs(matrix[j - 1, :j] - exact))))
-
+    _, min_pivot = _levinson(column, matrix)
+    # A is symmetric, so row j-1 of matrix @ A holds A_j g_j in its first j entries
+    image = matrix @ toeplitz(column)
+    residuals = np.array([_residual(image[j - 1, :j], j) for j in range(1, n + 1)])
     return TransferKernel(
         hurst=float(hurst),
         grid=grid,
         matrix=matrix,
         residuals=residuals,
-        interpolated=interpolated,
-        spot_error=spot_error,
-        meta={"scheme_version": SCHEME_VERSION, "solved_columns": len(solved)},
+        meta={
+            "scheme_version": SCHEME_VERSION,
+            "max_residual": float(residuals.max()),
+            "min_pivot": min_pivot,
+        },
     )
 
 

@@ -142,17 +142,12 @@ def test_estimate_csv_columns(tmp_path):
     assert len(lines) == 4
 
 
-def test_kernel_cache_roundtrip(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MFOU_CACHE_DIR", str(tmp_path / "cache"))
-    out1, out2 = tmp_path / "run1", tmp_path / "run2"
-    args = ["kernel", "--set", "T=1.0", "--set", "cells=16", "-v"]
-    assert main(args + ["--out", str(out1)]) == EXIT_OK
-    first = capsys.readouterr().err
-    assert "cache write" in first
-    assert main(args + ["--out", str(out2)]) == EXIT_OK
-    second = capsys.readouterr().err
-    assert "cache hit" in second
-    assert (out1 / "kernel.csv").read_bytes() == (out2 / "kernel.csv").read_bytes()
+def test_verbose_reports_kernel_health(tmp_path, capsys):
+    args = ["kernel", "--set", "T=1.0", "--set", "cells=16", "-v", "--out", str(tmp_path)]
+    assert main(args) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "kernel H=0.7 n=16:" in err
+    assert "max_residual=" in err and "min_pivot=" in err
 
 
 def test_cgf_analytic_value(tmp_path):
@@ -208,6 +203,10 @@ def test_experiment_check_gate(tmp_path, capsys):
     assert header == "H,T,reps,var_scaled,ks_dist,pass"
     manifest = json.loads((tmp_path / "normality_manifest.json").read_text())
     assert manifest["pass"] is False
+    diagnostics = manifest["diagnostics"]
+    assert diagnostics["kernels"] == 1
+    assert 0.0 <= diagnostics["max_residual"] <= 1e-9
+    assert diagnostics["min_pivot"] > 0.0
     restored = ExperimentConfig.from_manifest(manifest["config"])
     assert restored.config_hash() == manifest["config_hash"]
 

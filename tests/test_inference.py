@@ -117,7 +117,6 @@ def test_estimate_records(kernel_07, qv_07):
         assert r.cells == kernel_07.grid.cells
         assert r.denominator > 0.0
         assert r.theta_hat == pytest.approx(-r.numerator / r.denominator)
-        assert r.interpolated_kernel is False
 
 
 def test_degenerate_path(kernel_07, qv_07):

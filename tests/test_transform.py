@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cholesky, solve_triangular, toeplitz
 
 from mfou.errors import NodeOutOfRange, NonMonotoneBracket, ResidualTooLarge
 from mfou.numerics import RandomStream, TimeGrid
@@ -9,8 +10,8 @@ from mfou.transform import (
     RESIDUAL_BOUND,
     SCHEME_VERSION,
     TransferKernel,
-    _solved_indices,
     build_kernel,
+    collocation_column,
     inverse_kernel,
     psi_offdiag,
     quadratic_variation,
@@ -37,13 +38,12 @@ def test_solve_g_validation():
 
 
 def test_kernel_residual_contract(kernel_07):
-    solved = ~kernel_07.interpolated
-    assert np.all(np.isfinite(kernel_07.residuals[solved]))
-    assert np.max(kernel_07.residuals[solved]) <= RESIDUAL_BOUND
-    assert not kernel_07.any_interpolated  # every column dense at this size
-    assert kernel_07.spot_error == 0.0
+    assert kernel_07.residuals.shape == (64,)
+    assert np.all(np.isfinite(kernel_07.residuals))
+    assert np.max(kernel_07.residuals) <= RESIDUAL_BOUND
     assert kernel_07.meta["scheme_version"] == SCHEME_VERSION
-    assert kernel_07.meta["solved_columns"] == 64
+    assert kernel_07.meta["max_residual"] == np.max(kernel_07.residuals)
+    assert 0.0 < kernel_07.meta["min_pivot"] <= collocation_column(0.7, kernel_07.grid)[0]
 
 
 def test_kernel_column_layout(kernel_07):
@@ -55,15 +55,35 @@ def test_kernel_column_layout(kernel_07):
         kernel_07.column(65)
 
 
-def test_solved_indices_structure():
-    assert _solved_indices(64) == list(range(1, 65))
-    thinned = _solved_indices(2048)
-    assert thinned == sorted(set(thinned))
-    assert thinned[-1] == 2048
-    assert len(thinned) < 2048
-    assert set(range(2045, 2049)).issubset(thinned)  # trailing block stays dense
-    assert set(range(1, 1025)).issubset(thinned)  # everything below the limit
-    assert 1026 not in thinned  # thinned to the stride above the limit
+@pytest.mark.parametrize("hurst", [0.3, 0.7])
+def test_every_column_matches_dense_solve(hurst):
+    # n = 1100 reaches past column 1024; columns 1025..1027 are also solved one by one below
+    grid = TimeGrid(10.0, 1100)
+    kern = build_kernel(hurst, grid)
+    a = toeplitz(collocation_column(hurst, grid))
+    # block j of A = L L^T has Cholesky factor L[:j, :j], so one dense
+    # factorisation gives every column: g_j = L_j^{-T} (L^{-1} 1)[:j]
+    lower = cholesky(a, lower=True)
+    u = solve_triangular(lower, np.ones(grid.cells), lower=True)
+    worst = max(
+        float(np.max(np.abs(kern.column(j) - solve_triangular(lower[:j, :j].T, u[:j]))))
+        for j in range(1, grid.cells + 1)
+    )
+    assert worst <= 1e-12
+    for j in (1, 2, 550, 1025, 1026, 1027, 1100):
+        exact = np.linalg.solve(a[:j, :j], np.ones(j))
+        assert np.max(np.abs(kern.column(j) - exact)) <= 1e-12
+
+
+@pytest.mark.parametrize("hurst", [0.01, 0.999])
+@pytest.mark.parametrize("cells", [8, 1024])
+def test_kernel_edge_hurst(hurst, cells):
+    grid = TimeGrid(10.0, cells)
+    kern = build_kernel(hurst, grid)
+    assert np.all(np.isfinite(kern.matrix))
+    assert kern.meta["max_residual"] <= RESIDUAL_BOUND
+    assert kern.meta["min_pivot"] > 0.0
+    assert np.all(np.diff(quadratic_variation(kern).bracket) > 0.0)
 
 
 def test_bracket_h_half_linear(kernel_half, qv_half):
@@ -100,7 +120,6 @@ def test_quadratic_variation_rejects_nonmonotone():
         grid=grid,
         matrix=matrix,
         residuals=np.zeros(8),
-        interpolated=np.zeros(8, dtype=bool),
     )
     with pytest.raises(NonMonotoneBracket):
         quadratic_variation(kern)
@@ -132,8 +151,14 @@ def test_roundtrip_reconstruction(kernel_07, qv_07):
 
 
 def test_residual_guard_raises():
-    # an operator too ill-conditioned to solve accurately must fail loudly
-    from scipy.linalg import hilbert
-
+    # exp(-(d/8)^2) is a symmetric Toeplitz column with condition number ~1e20,
+    # too ill-conditioned for the recursion to meet the bound: it must fail loudly
+    grid = TimeGrid(2.0, 32)
+    smooth = np.exp(-((np.arange(32) / 8.0) ** 2))
     with pytest.raises(ResidualTooLarge):
-        solve_g(0.7, TimeGrid(2.0, 32), 32, operator=hilbert(32))
+        solve_g(0.7, grid, 32, column=smooth)
+    # a zero pivot leaves NaN in the solution, which must not pass as a small residual
+    zero_pivot = collocation_column(0.7, grid)
+    zero_pivot[0] = 0.0
+    with pytest.raises(ResidualTooLarge):
+        solve_g(0.7, grid, 32, column=zero_pivot)
