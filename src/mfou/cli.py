@@ -188,8 +188,6 @@ KEYS = {
         "reps": _Key(_parse_int_min(1), "2000", "replications per cell"),
         "seed": _Key(_parse_int_min(0), str(_DEFAULT_SEED), "master seed, nonnegative"),
         "mu": _Key(_parse_float_list, "0.0,0.25,0.5,1.0", "mu lattice (cgf study)"),
-        "a": _Key(_parse_float_list, "0.0", "a lattice (manifest echo)"),
-        "b": _Key(_parse_float_list, "", "b lattice (manifest echo)"),
         "x": _Key(_parse_float_list, "", "x grid for rate-function tables"),
         "tails": _Key(_parse_tails, "1.5..inf", "tail intervals lo..hi (comma separated)"),
         "tilt": _Key(_parse_positive, None, "importance-sampling drift, positive"),
@@ -487,24 +485,14 @@ def _cmd_cgf(args, typed) -> int:
 
 
 def _cmd_rate(args, typed) -> int:
-    from .ldp import (
-        CONVENTION_MINUS,
-        CONVENTION_PLUS,
-        RateQuery,
-        rate_function_numeric,
-        rate_function_printed,
-    )
+    from .ldp import rate_function_numeric, rate_function_printed_reflected
 
     if "x" not in typed:
         raise ConfigError("rate needs x (use --x or --set x=...)")
     theta, x = typed["theta"], typed["x"]
-    printed = rate_function_printed(x, theta)
     print(f"x={_fmt(x)} theta={_fmt(theta)}")
-    print(f"printed two-branch formula: {_fmt(printed)}")
-    for convention in (CONVENTION_MINUS, CONVENTION_PLUS):
-        result = rate_function_numeric(RateQuery(x=x, theta=theta, convention=convention))
-        note = " (unbounded below)" if result.unbounded else ""
-        print(f"numeric [{convention}]: {_fmt(result.value)}{note}")
+    print(f"printed two-branch formula at -x: {_fmt(rate_function_printed_reflected(x, theta))}")
+    print(f"numeric: {_fmt(rate_function_numeric(x, theta))}")
     return EXIT_OK
 
 
@@ -527,8 +515,6 @@ def _cmd_experiment(args, typed, budget) -> int:
         "reps": typed["reps"],
         "master_seed": typed["seed"],
         "mu_grid": typed["mu"],
-        "a_grid": typed["a"],
-        "b_grid": typed["b"],
         "x_grid": typed["x"],
         "tails": typed["tails"],
         "tilt": typed.get("tilt"),
@@ -573,7 +559,7 @@ def build_parser() -> _Parser:
         "kernel": "build the transfer kernel tables",
         "estimate": "simulate replications and write drift estimates",
         "cgf": "evaluate the integrated-square CGF by one method",
-        "rate": "print rate-function values at a point, all conventions",
+        "rate": "print the numeric and the printed rate at a point",
         "experiment": "run a replication study and persist its report",
     }
     for name in ("simulate", "kernel", "estimate", "cgf", "rate", "experiment"):

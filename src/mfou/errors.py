@@ -45,10 +45,6 @@ class NotPositiveDefinite(NumericalError):
         super().__init__(message or f"matrix not positive definite at pivot {pivot}")
 
 
-class SingularMatrix(NumericalError):
-    """Dense solve encountered a (numerically) singular matrix."""
-
-
 class EmbeddingFailed(NumericalError):
     """Neither circulant embedding nor the Cholesky fallback produced a factor."""
 
@@ -73,10 +69,6 @@ class NodeOutOfRange(NumericalError, ValueError):
 
 class NodeSetTooLarge(NumericalError, ValueError):
     """Oracle node set exceeds the supported size."""
-
-
-class DegeneratePath(NumericalError):
-    """Estimator denominator numerically zero; no estimate possible."""
 
 
 class PsiNotPositive(NumericalError):

@@ -36,13 +36,10 @@ from .inference import (
     sufficient_statistics_batch,
 )
 from .ldp import (
-    CONVENTION_MINUS,
-    CONVENTION_PLUS,
     empirical_cgf,
     k_limit,
-    rate_function_printed,
     rate_function_numeric,
-    RateQuery,
+    rate_function_printed_reflected,
     tail_rate_numeric,
     tail_rate_printed,
 )
@@ -90,8 +87,7 @@ TAILS_COLUMNS = (
     "slope_adj",
     "slope_adj_se",
     "rate_printed",
-    "rate_numeric_minus",
-    "rate_numeric_plus",
+    "rate_numeric",
 )
 CGF_COLUMNS = (
     "H",
@@ -146,15 +142,13 @@ class ExperimentConfig:
     reps: int = 2000
     master_seed: int = DEFAULT_SEED
     mu_grid: tuple = (0.0, 0.25, 0.5, 1.0)
-    a_grid: tuple = (0.0,)
-    b_grid: tuple = ()
     x_grid: tuple = ()
     tails: tuple = ((1.5, math.inf),)
     tilt: float | None = None
     threads: int | None = None
 
     def __post_init__(self):
-        for name in ("hurst", "horizons", "mu_grid", "a_grid", "b_grid", "x_grid"):
+        for name in ("hurst", "horizons", "mu_grid", "x_grid"):
             object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         object.__setattr__(
             self, "tails", tuple((float(lo), float(hi)) for lo, hi in self.tails)
@@ -215,8 +209,6 @@ class ExperimentConfig:
             "reps": self.reps,
             "master_seed": self.master_seed,
             "mu_grid": list(self.mu_grid),
-            "a_grid": list(self.a_grid),
-            "b_grid": list(self.b_grid),
             "x_grid": list(self.x_grid),
             "tails": [[_encode_float(lo), _encode_float(hi)] for lo, hi in self.tails],
             "tilt": self.tilt,
@@ -234,7 +226,7 @@ class ExperimentConfig:
             kwargs["tails"] = tuple(
                 (float(lo), float(hi)) for lo, hi in kwargs["tails"]
             )
-        for name in ("hurst", "horizons", "mu_grid", "a_grid", "b_grid", "x_grid"):
+        for name in ("hurst", "horizons", "mu_grid", "x_grid"):
             if name in kwargs:
                 kwargs[name] = tuple(kwargs[name])
         return cls(**kwargs)
@@ -585,8 +577,8 @@ def run_tail_slopes(config: ExperimentConfig) -> ExperimentReport:
     base drift; thin cells (under 20 hits) fall back to the tilted estimate
     and are flagged. Per (H, tail): weighted least-squares slope of log p
     against T, raw and with the 0.5*log T prefactor removed, next to the
-    closed-form reference rates (the two-branch printed formula and the
-    numeric infimum under both sign conventions).
+    closed-form reference rates: the two-branch printed formula read at -x
+    and the numeric infimum in the estimator's coordinate b = +x*a.
     """
     if not config.tails:
         raise ConfigError("tail slope study needs at least one tail interval")
@@ -600,12 +592,7 @@ def run_tail_slopes(config: ExperimentConfig) -> ExperimentReport:
         info = _series_slopes(points)
         refs = {
             "rate_printed": tail_rate_printed(gamma[0], gamma[1], config.theta),
-            "rate_numeric_minus": tail_rate_numeric(
-                gamma[0], gamma[1], config.theta, CONVENTION_MINUS
-            ),
-            "rate_numeric_plus": tail_rate_numeric(
-                gamma[0], gamma[1], config.theta, CONVENTION_PLUS
-            ),
+            "rate_numeric": tail_rate_numeric(gamma[0], gamma[1], config.theta),
         }
         slope_info[(h_idx, g_idx)] = (info, refs)
 
@@ -634,8 +621,7 @@ def run_tail_slopes(config: ExperimentConfig) -> ExperimentReport:
                     info["slope_adj"] if info else math.nan,
                     info["slope_adj_se"] if info else math.nan,
                     refs["rate_printed"],
-                    refs["rate_numeric_minus"],
-                    refs["rate_numeric_plus"],
+                    refs["rate_numeric"],
                 )
             )
 
@@ -671,17 +657,8 @@ def run_tail_slopes(config: ExperimentConfig) -> ExperimentReport:
         manifest["rate_table"] = [
             {
                 "x": x,
-                "printed": _encode_float(rate_function_printed(x, config.theta)),
-                "numeric_minus": _encode_float(
-                    rate_function_numeric(
-                        RateQuery(x=x, theta=config.theta, convention=CONVENTION_MINUS)
-                    ).value
-                ),
-                "numeric_plus": _encode_float(
-                    rate_function_numeric(
-                        RateQuery(x=x, theta=config.theta, convention=CONVENTION_PLUS)
-                    ).value
-                ),
+                "printed": _encode_float(rate_function_printed_reflected(x, config.theta)),
+                "numeric": _encode_float(rate_function_numeric(x, config.theta)),
             }
             for x in config.x_grid
         ]

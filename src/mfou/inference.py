@@ -1,4 +1,4 @@
-"""Transformed observation process and drift likelihood.
+"""Transformed observation process and drift estimator.
 
 From an observed path X the fundamental semimartingale is
 
@@ -16,9 +16,10 @@ drift estimator and likelihood only need two path functionals,
     numerator   = int_0^T Q dZ        (left-endpoint sum),
     denominator = int_0^T Q^2 d<M>    (trapezoid against bracket increments),
 
-giving theta_hat = -numerator/denominator, log-likelihood
-l(theta) = -theta*numerator - theta^2/2 * denominator and score
--numerator - theta*denominator.
+giving theta_hat = -numerator/denominator, the maximiser of the
+log-likelihood l(theta) = -theta*numerator - theta^2/2 * denominator.
+The pipeline Z -> Q -> statistics -> estimate runs on (reps, nodes)
+batches of state paths; one path is the batch state[None].
 
 A slower definitional route for Q (derivative of int_0^t g(s,t) X_s ds with
 respect to the bracket) is kept as a cross-check of the two-term formula.
@@ -30,29 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePath, GridMismatch, LengthMismatch
-from .numerics import TimeGrid, ito_sum
-from .paths import PathBundle
+from .errors import GridMismatch
+from .numerics import TimeGrid
 from .transform import InverseKernel, QVTable, TransferKernel, solve_g
 
 DEGENERATE_DENOMINATOR = 1e-14
-
-
-@dataclass(frozen=True)
-class TransformedPath:
-    """Z, V and Q at the grid nodes for one path."""
-
-    grid: TimeGrid
-    Z: np.ndarray
-    V: np.ndarray
-    Q: np.ndarray
-    theta_true: float
-
-    def __post_init__(self):
-        m = self.grid.cells + 1
-        for name in ("Z", "V", "Q"):
-            if getattr(self, name).shape != (m,):
-                raise LengthMismatch(f"{name} must have {m} nodes")
 
 
 @dataclass(frozen=True)
@@ -69,24 +52,11 @@ class EstimateRecord:
     denominator: float
 
 
-def _state_of(path) -> np.ndarray:
-    return path.state if isinstance(path, PathBundle) else np.asarray(path, dtype=float)
-
-
-def compute_Z(path, kernel: TransferKernel) -> np.ndarray:
-    """Z at every node: horizon t_j pairs kernel column j with the X increments."""
-    x = _state_of(path)
-    n = kernel.grid.cells
-    if x.shape != (n + 1,):
-        raise GridMismatch(f"path has {x.shape[0]} nodes, kernel grid has {n + 1}")
-    out = np.empty(n + 1)
-    out[0] = 0.0
-    out[1:] = kernel.matrix @ np.diff(x)
-    return out
-
-
 def compute_Z_batch(states: np.ndarray, kernel: TransferKernel) -> np.ndarray:
-    """compute_Z for a (reps, nodes) batch of state paths."""
+    """Z at every node: horizon t_j pairs kernel column j with the X increments.
+
+    `states` is a (reps, nodes) batch of state paths; so is the result.
+    """
     n = kernel.grid.cells
     if states.ndim != 2 or states.shape[1] != n + 1:
         raise GridMismatch(f"state batch must have {n + 1} columns")
@@ -96,14 +66,8 @@ def compute_Z_batch(states: np.ndarray, kernel: TransferKernel) -> np.ndarray:
     return out
 
 
-def compute_Q(z: np.ndarray, qv: QVTable) -> tuple[np.ndarray, np.ndarray]:
-    """Q and V from Z via the two-term representation."""
-    v = ito_sum(qv.psi_diag, z)
-    q = 0.5 * (qv.psi_diag * z + v)
-    return q, v
-
-
 def compute_Q_batch(z: np.ndarray, qv: QVTable) -> tuple[np.ndarray, np.ndarray]:
+    """Q and V from a batch of Z via the two-term representation."""
     v = np.empty_like(z)
     v[:, 0] = 0.0
     np.cumsum(qv.psi_diag[:-1] * np.diff(z, axis=1), axis=1, out=v[:, 1:])
@@ -111,7 +75,7 @@ def compute_Q_batch(z: np.ndarray, qv: QVTable) -> tuple[np.ndarray, np.ndarray]
     return q, v
 
 
-def compute_Q_direct(path, kernel: TransferKernel, qv: QVTable) -> np.ndarray:
+def compute_Q_direct(state: np.ndarray, kernel: TransferKernel, qv: QVTable) -> np.ndarray:
     """Q from its definition: d/d<M>_t of N(t) = int_0^t g(s, t) X_s ds.
 
     Summation by parts against the kernel primitive G(s, t) = int_0^s g(r, t) dr
@@ -122,16 +86,17 @@ def compute_Q_direct(path, kernel: TransferKernel, qv: QVTable) -> np.ndarray:
 
     This form is exact at H = 1/2 (G is then horizon-independent) and puts
     coefficient one on the newest path increment, so no path-roughness noise
-    enters the comparison with compute_Q. G extends past the diagonal by
+    enters the comparison with compute_Q_batch. G extends past the diagonal by
     G(s, t) = <M>_t for s >= t, which the cumulative sums produce on their
     own. Its horizon derivative at t_j is the central difference between
     horizons t_{j-1} and t_{j+1} (one extra horizon is solved past T for the
     last one), taken at the nodes t_0..t_{j-1} that the sum over cells i < j
     reads; none lies past t_{j-1}, where t -> G(s, t) would have its kink
     t = s inside the stencil.
-    Cross-check only; the estimator pipeline uses compute_Q.
+    Cross-check only, for one state path; the estimator pipeline uses
+    compute_Q_batch.
     """
-    x = _state_of(path)
+    x = np.asarray(state, dtype=float)
     n, dt = kernel.grid.cells, kernel.grid.dt
     if kernel.grid != qv.grid:
         raise GridMismatch("kernel and bracket table built on different grids")
@@ -153,46 +118,13 @@ def compute_Q_direct(path, kernel: TransferKernel, qv: QVTable) -> np.ndarray:
     return q
 
 
-def transform_path(path, kernel: TransferKernel, qv: QVTable, theta_true: float) -> TransformedPath:
-    z = compute_Z(path, kernel)
-    q, v = compute_Q(z, qv)
-    return TransformedPath(grid=kernel.grid, Z=z, V=v, Q=q, theta_true=theta_true)
-
-
-def sufficient_statistics(tp: TransformedPath, qv: QVTable) -> tuple[float, float]:
-    """(int Q dZ, int Q^2 d<M>) for one transformed path."""
-    numerator = float(ito_sum(tp.Q, tp.Z)[-1])
-    q2 = tp.Q**2
-    dm = qv.bracket_increments()
-    denominator = float(np.dot(0.5 * (q2[:-1] + q2[1:]), dm))
-    return numerator, denominator
-
-
 def sufficient_statistics_batch(q: np.ndarray, z: np.ndarray, qv: QVTable):
+    """(int Q dZ, int Q^2 d<M>) per row: left-endpoint and trapezoid sums."""
     dm = qv.bracket_increments()
     numerator = np.einsum("rj,rj->r", q[:, :-1], np.diff(z, axis=1))
     q2 = q**2
     denominator = (0.5 * (q2[:, :-1] + q2[:, 1:])) @ dm
     return numerator, denominator
-
-
-def mle(tp: TransformedPath, qv: QVTable) -> float:
-    """theta_hat = -int Q dZ / int Q^2 d<M>."""
-    numerator, denominator = sufficient_statistics(tp, qv)
-    if denominator <= DEGENERATE_DENOMINATOR:
-        raise DegeneratePath(f"denominator {denominator:.3e} too small for an estimate")
-    return -numerator / denominator
-
-
-def log_likelihood(theta: float, tp: TransformedPath, qv: QVTable) -> float:
-    numerator, denominator = sufficient_statistics(tp, qv)
-    return -theta * numerator - 0.5 * theta**2 * denominator
-
-
-def score(theta: float, tp: TransformedPath, qv: QVTable) -> float:
-    """d/dtheta of the log-likelihood; vanishes at the estimator."""
-    numerator, denominator = sufficient_statistics(tp, qv)
-    return -numerator - theta * denominator
 
 
 def reconstruct_X(z: np.ndarray, inverse: InverseKernel) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Limiting cumulant generating functions, rate functions, and tilting.
+"""Limiting cumulant generating functions and rate functions.
 
 The estimator's sufficient statistics (int Q dZ, int Q^2 d<M>) have the
 normalized CGF L_T(a, b) = (1/T) log E exp(a int Q dZ + b int Q^2 d<M>),
@@ -7,18 +7,20 @@ whose T -> infinity limit is the closed form
     L(a, b) = -(1/2) (a - theta + sqrt(theta^2 - 2b)),   theta^2 - 2b > 0,
 
 and +inf outside that region. The exponential tilt K(mu) = L(0, -mu) has
-its own one-parameter form. Tail rates for the estimator come from the
-infimum I(x) = -inf_a L(a, b(a)) with b tied to a through the tail point
-x; both pairings b = -x*a (the printed one) and b = +x*a (the one the
-Chernoff bound for {theta_hat <= x} produces) are computed and reported
-side by side, never merged, because they disagree and only simulated tail
-slopes can arbitrate. The printed two-branch rate formula is kept verbatim
-as its own function for comparison columns.
+its own one-parameter form. The numeric rate of the estimator at x is the
+Chernoff exponent I(x) = -inf_a L(a, x*a): the pairing b = +x*a is the
+estimator's own coordinate, and I vanishes at x = theta.
+
+The printed two-branch rate formula (Florens-Landais & Pham 1999; Bercu &
+Rouault 2002) is stated for the reflected drift, with its zero at -theta.
+`rate_function_printed` keeps it verbatim; `rate_function_printed_reflected`
+reads it at -x, the estimator's coordinate, and every tail and table value
+goes through that one reflection. The two rates still differ: at x = 0.2
+the printed value is 0.6 and the numeric one 0.8, and for x < 0 the numeric
+objective is unbounded below (rate +inf) where the printed one is finite.
 
 `empirical_cgf` estimates L_T(a, b) by Monte Carlo over simulated paths
-with an overflow-safe log-mean-exp, and `girsanov_log_weight` is the
-exponential change-of-drift factor used both in the likelihood and as the
-importance-sampling weight for rare tails.
+with an overflow-safe log-mean-exp.
 """
 
 from __future__ import annotations
@@ -28,24 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePath, GridMismatch
-from .inference import (
-    TransformedPath,
-    compute_Q_batch,
-    compute_Z_batch,
-    sufficient_statistics,
-    sufficient_statistics_batch,
-)
+from .errors import GridMismatch
+from .inference import compute_Q_batch, compute_Z_batch, sufficient_statistics_batch
 from .paths import ProcessSpec, sample_state_batch
 from .transform import QVTable, TransferKernel
 
 # CGF value outside the finiteness region; the true limit diverges there,
 # so +inf doubles as an explicit domain marker that survives arithmetic.
 OUT_OF_DOMAIN = math.inf
-
-CONVENTION_MINUS = "b=-xa"
-CONVENTION_PLUS = "b=+xa"
-_CONVENTIONS = (CONVENTION_MINUS, CONVENTION_PLUS)
 
 # infimum search controls: geometric bracket expansion cap and golden-section
 # width tolerance in a
@@ -87,57 +79,9 @@ def rate_function_printed(x: float, theta: float) -> float:
     return 2.0 * x + theta
 
 
-@dataclass(frozen=True)
-class RateQuery:
-    """One numeric rate evaluation: tail point, drift, and the b(a) pairing."""
-
-    x: float
-    theta: float
-    convention: str = CONVENTION_MINUS
-    bracket_limit: float = BRACKET_LIMIT
-
-    def __post_init__(self):
-        if not self.theta > 0.0:
-            raise ValueError(f"theta must be positive, got {self.theta}")
-        if self.convention not in _CONVENTIONS:
-            raise ValueError(f"convention must be one of {_CONVENTIONS}, got {self.convention!r}")
-        if not self.bracket_limit > 0.0:
-            raise ValueError("bracket_limit must be positive")
-
-
-@dataclass(frozen=True)
-class RateResult:
-    """Numeric infimum outcome; `value` is +inf when the objective is unbounded."""
-
-    x: float
-    theta: float
-    convention: str
-    value: float
-    argmin: float | None
-    boundary_hit: bool
-    unbounded: bool
-
-
-def _rate_objective(q: RateQuery):
-    """L_x(a) extended continuously to the domain boundary (sqrt clamped at 0).
-
-    The open-domain values decrease to the boundary value, so minimizing the
-    extension over the closed interval leaves the infimum unchanged.
-    """
-    sign = -1.0 if q.convention == CONVENTION_MINUS else 1.0
-    c = 2.0 * sign * q.x
-    th = q.theta
-
-    def f(a: float) -> float:
-        return -0.5 * (a - th + math.sqrt(max(th * th - c * a, 0.0)))
-
-    if c > 0.0:
-        lo, hi = -q.bracket_limit, min(th * th / c, q.bracket_limit)
-    elif c < 0.0:
-        lo, hi = max(th * th / c, -q.bracket_limit), q.bracket_limit
-    else:
-        lo, hi = -q.bracket_limit, q.bracket_limit
-    return f, lo, hi
+def rate_function_printed_reflected(x: float, theta: float) -> float:
+    """The printed formula in the estimator's coordinate: its value at -x, zero at x = theta."""
+    return rate_function_printed(-x, theta)
 
 
 def _golden_section(f, lo: float, hi: float) -> float:
@@ -151,16 +95,30 @@ def _golden_section(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def rate_function_numeric(q: RateQuery) -> RateResult:
-    """-inf_a L_x(a) by geometric bracket expansion plus golden-section refinement.
+def rate_function_numeric(x: float, theta: float) -> float:
+    """-inf_a L(a, x*a) by geometric bracket expansion plus golden-section refinement.
 
-    The probe set grows outward from a = 0 (always feasible) by doubling
-    until the domain boundary or `bracket_limit` is reached; the minimum is
-    then refined between the probes bracketing it. If the objective is still
-    decreasing at the expansion cap, the result carries unbounded=True with
-    value +inf instead of raising.
+    The objective is extended continuously to the domain boundary (sqrt
+    clamped at 0); the open-domain values decrease to the boundary value, so
+    minimizing over the closed interval leaves the infimum unchanged. The
+    probe set grows outward from a = 0 (always feasible) by doubling until
+    the domain boundary or BRACKET_LIMIT is reached; the minimum is then
+    refined between the probes bracketing it. If the objective is still
+    decreasing at the expansion cap, the rate is +inf.
     """
-    f, lo, hi = _rate_objective(q)
+    if not theta > 0.0:
+        raise ValueError(f"theta must be positive, got {theta}")
+    c = 2.0 * x
+
+    def f(a: float) -> float:
+        return -0.5 * (a - theta + math.sqrt(max(theta * theta - c * a, 0.0)))
+
+    if c > 0.0:
+        lo, hi = -BRACKET_LIMIT, min(theta * theta / c, BRACKET_LIMIT)
+    elif c < 0.0:
+        lo, hi = max(theta * theta / c, -BRACKET_LIMIT), BRACKET_LIMIT
+    else:
+        lo, hi = -BRACKET_LIMIT, BRACKET_LIMIT
     probes = [0.0]
     step = 1.0
     while probes[-1] < hi:
@@ -173,68 +131,42 @@ def rate_function_numeric(q: RateQuery) -> RateResult:
     values = [f(a) for a in probes]
     i = int(np.argmin(values))
 
-    at_cap_right = i == len(probes) - 1 and math.isclose(probes[i], q.bracket_limit)
-    at_cap_left = i == 0 and math.isclose(probes[i], -q.bracket_limit)
+    at_cap_right = i == len(probes) - 1 and math.isclose(probes[i], BRACKET_LIMIT)
+    at_cap_left = i == 0 and math.isclose(probes[i], -BRACKET_LIMIT)
     if at_cap_right or at_cap_left:
-        return RateResult(
-            x=q.x,
-            theta=q.theta,
-            convention=q.convention,
-            value=math.inf,
-            argmin=None,
-            boundary_hit=False,
-            unbounded=True,
-        )
+        return math.inf
 
     bl = probes[i - 1] if i > 0 else probes[i]
     bh = probes[i + 1] if i < len(probes) - 1 else probes[i]
-    a_star = _golden_section(f, bl, bh)
-    boundary = math.isclose(a_star, lo, abs_tol=1e-8) or math.isclose(a_star, hi, abs_tol=1e-8)
-    return RateResult(
-        x=q.x,
-        theta=q.theta,
-        convention=q.convention,
-        value=-f(a_star),
-        argmin=a_star,
-        boundary_hit=boundary,
-        unbounded=False,
-    )
+    return -f(_golden_section(f, bl, bh))
 
 
-def rate_function_both(x: float, theta: float) -> tuple[RateResult, RateResult]:
-    """Numeric rate under both b(a) pairings, reported side by side."""
-    return (
-        rate_function_numeric(RateQuery(x=x, theta=theta, convention=CONVENTION_MINUS)),
-        rate_function_numeric(RateQuery(x=x, theta=theta, convention=CONVENTION_PLUS)),
-    )
+def _tail_window(gamma_lo: float, gamma_hi: float, theta: float) -> tuple[float, float]:
+    """The tail interval with infinite ends truncated 10*theta past the other end."""
+    lo = gamma_lo if math.isfinite(gamma_lo) else min(-10.0 * theta, gamma_hi - 10.0 * theta)
+    hi = gamma_hi if math.isfinite(gamma_hi) else max(10.0 * theta, gamma_lo + 10.0 * theta)
+    return lo, hi
 
 
-def tail_rate_numeric(gamma_lo: float, gamma_hi: float, theta: float, convention: str, points: int = 129) -> float:
+def tail_rate_numeric(gamma_lo: float, gamma_hi: float, theta: float, points: int = 129) -> float:
     """inf over the tail interval of the numeric rate, scanned on a finite grid.
 
     Infinite endpoints are truncated where the rate is already far above the
     interval minimum (the numeric rate grows without bound along the tails).
     """
-    lo = gamma_lo if math.isfinite(gamma_lo) else min(-10.0 * theta, gamma_hi - 10.0 * theta)
-    hi = gamma_hi if math.isfinite(gamma_hi) else max(10.0 * theta, gamma_lo + 10.0 * theta)
-    best = math.inf
-    for x in np.linspace(lo, hi, points):
-        res = rate_function_numeric(RateQuery(x=float(x), theta=theta, convention=convention))
-        if res.value < best:
-            best = res.value
-    return best
+    lo, hi = _tail_window(gamma_lo, gamma_hi, theta)
+    return min(rate_function_numeric(float(x), theta) for x in np.linspace(lo, hi, points))
 
 
 def tail_rate_printed(gamma_lo: float, gamma_hi: float, theta: float, points: int = 513) -> float:
-    """inf over the tail interval of the printed two-branch formula."""
-    lo = gamma_lo if math.isfinite(gamma_lo) else min(-10.0 * theta, gamma_hi - 10.0 * theta)
-    hi = gamma_hi if math.isfinite(gamma_hi) else max(10.0 * theta, gamma_lo + 10.0 * theta)
+    """inf over the tail interval of the reflected printed formula."""
+    lo, hi = _tail_window(gamma_lo, gamma_hi, theta)
     xs = np.linspace(lo, hi, points)
-    vals = [rate_function_printed(float(x), theta) for x in xs]
-    # the formula's only interior minimum candidates are the branch point and -theta
-    for x in (-theta, -theta / 3.0):
+    vals = [rate_function_printed_reflected(float(x), theta) for x in xs]
+    # the reflected formula's only interior minimum candidates are its zero and branch point
+    for x in (theta, theta / 3.0):
         if lo <= x <= hi:
-            vals.append(rate_function_printed(x, theta))
+            vals.append(rate_function_printed_reflected(x, theta))
     return float(min(vals))
 
 
@@ -313,19 +245,3 @@ def empirical_cgf(
         heavy_tail=top_share > TOP_SHARE_HEAVY,
         unreliable=ess < ESS_RELIABLE,
     )
-
-
-def girsanov_log_weight(phi: float, tp: TransformedPath, qv: QVTable) -> float:
-    """log of the change-of-drift exponential from drift theta to drift -phi.
-
-    log Lambda_phi = (phi + theta) int Q dZ - (phi^2 - theta^2)/2 int Q^2 d<M>
-    with theta taken from the transformed path. Under the base measure
-    E[Lambda_phi] = 1; tail probabilities under the base model are estimated
-    from paths simulated with drift parameter -phi by weighting indicator
-    hits with Lambda_phi^{-1} (pass the base theta as the path's theta_true).
-    """
-    numerator, denominator = sufficient_statistics(tp, qv)
-    if not (math.isfinite(numerator) and math.isfinite(denominator)):
-        raise DegeneratePath("sufficient statistics are not finite")
-    theta = tp.theta_true
-    return (phi + theta) * numerator - 0.5 * (phi * phi - theta * theta) * denominator

@@ -1,11 +1,10 @@
-"""Shared numerical primitives: grids, random streams, linear algebra, quadrature.
+"""Shared numerical primitives: grids, random streams, Cholesky, quadrature.
 
 Conventions used by every downstream module are fixed here once:
 
 * time grids are uniform with at least 8 cells, nodes t_k = k*T/n;
 * random streams are counter-based and splittable, so a replication's draws
   depend only on its address (master seed + key path), never on scheduling;
-* stochastic integrals are left-endpoint Ito sums;
 * time integrals are trapezoidal against supplied integrator increments;
 * grid derivatives are second-order central differences with second-order
   one-sided stencils at the endpoints.
@@ -19,13 +18,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import (
-    GridTooCoarse,
-    LengthMismatch,
-    NotPositiveDefinite,
-    NotSymmetric,
-    SingularMatrix,
-)
+from .errors import GridTooCoarse, LengthMismatch, NotPositiveDefinite, NotSymmetric
 
 MIN_CELLS = 8
 
@@ -53,23 +46,12 @@ class TimeGrid:
         object.__setattr__(self, "cells", int(self.cells))
 
     @property
-    def n(self) -> int:
-        return self.cells
-
-    @property
     def dt(self) -> float:
         return self.horizon / self.cells
 
     @cached_property
     def nodes(self) -> np.ndarray:
         out = np.linspace(0.0, self.horizon, self.cells + 1)
-        out.flags.writeable = False
-        return out
-
-    @cached_property
-    def midpoints(self) -> np.ndarray:
-        nodes = self.nodes
-        out = 0.5 * (nodes[:-1] + nodes[1:])
         out.flags.writeable = False
         return out
 
@@ -107,40 +89,6 @@ class RandomStream:
         seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=self.key)
         return np.random.Generator(np.random.Philox(seq))
 
-    def normals(self, count: int) -> np.ndarray:
-        return self.generator().standard_normal(count)
-
-
-@dataclass(frozen=True)
-class SymmetricMatrix:
-    """Dense symmetric matrix; symmetry is checked and enforced on construction."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.values, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise NotSymmetric("matrix has non-finite entries")
-        scale = max(1.0, float(np.max(np.abs(a))))
-        gap = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-        if gap > 1e-10 * scale:
-            raise NotSymmetric(f"asymmetry {gap:.3e} exceeds tolerance")
-        sym = 0.5 * (a + a.T)
-        sym.flags.writeable = False
-        object.__setattr__(self, "values", sym)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-
-def _as_matrix(matrix) -> np.ndarray:
-    if isinstance(matrix, SymmetricMatrix):
-        return np.array(matrix.values, dtype=float)
-    return np.array(matrix, dtype=float)
-
 
 def cholesky_factor(matrix) -> np.ndarray:
     """Lower-triangular L with L L^T = matrix.
@@ -150,7 +98,7 @@ def cholesky_factor(matrix) -> np.ndarray:
     escalated tenfold at most three times. The error reports the 1-based
     pivot index of the first failing leading minor of the unjittered matrix.
     """
-    a = _as_matrix(matrix)
+    a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
     dim = a.shape[0]
@@ -168,20 +116,8 @@ def cholesky_factor(matrix) -> np.ndarray:
     raise NotPositiveDefinite(first_pivot)
 
 
-def solve_dense(matrix, rhs) -> np.ndarray:
-    """Solve `matrix @ x = rhs` by LU with partial pivoting."""
-    a = _as_matrix(matrix)
-    b = np.asarray(rhs, dtype=float)
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(str(exc)) from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularMatrix("solution has non-finite entries")
-    return x
-
-
-def _check_pair(values, increments):
+def trapezoid_integral(values, increments) -> float:
+    """Trapezoid rule for int f dG given node values of f and cell increments of G."""
     v = np.asarray(values, dtype=float)
     w = np.asarray(increments, dtype=float)
     if v.ndim != 1 or w.ndim != 1:
@@ -190,39 +126,7 @@ def _check_pair(values, increments):
         raise LengthMismatch(
             f"need len(increments) == len(values)-1, got {w.shape[0]} vs {v.shape[0]}"
         )
-    return v, w
-
-
-def trapezoid_integral(values, increments) -> float:
-    """Trapezoid rule for int f dG given node values of f and cell increments of G."""
-    v, w = _check_pair(values, increments)
     return float(np.dot(0.5 * (v[:-1] + v[1:]), w))
-
-
-def trapezoid_running(values, increments) -> np.ndarray:
-    """Running trapezoid integral at every node; starts at 0."""
-    v, w = _check_pair(values, increments)
-    out = np.empty(v.shape[0])
-    out[0] = 0.0
-    np.cumsum(0.5 * (v[:-1] + v[1:]) * w, out=out[1:])
-    return out
-
-
-def ito_sum(integrand, integrator) -> np.ndarray:
-    """Left-endpoint sums S_k = sum_{i<k} f(t_i) (G(t_{i+1}) - G(t_i)).
-
-    Both arguments are node arrays of equal length; the result has the same
-    length with S_0 = 0. The last integrand value is never used, which is
-    what makes the sum adapted.
-    """
-    f = np.asarray(integrand, dtype=float)
-    g = np.asarray(integrator, dtype=float)
-    if f.shape != g.shape or f.ndim != 1:
-        raise LengthMismatch(f"integrand/integrator shapes differ: {f.shape} vs {g.shape}")
-    out = np.empty(f.shape[0])
-    out[0] = 0.0
-    np.cumsum(f[:-1] * np.diff(g), out=out[1:])
-    return out
 
 
 def finite_diff_derivative(values, dx: float) -> np.ndarray:

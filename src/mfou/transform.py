@@ -193,15 +193,6 @@ class QVTable:
     def bracket_increments(self) -> np.ndarray:
         return np.diff(self.bracket)
 
-    def node_index(self, t: float) -> int:
-        try:
-            return self.grid.index_of(t)
-        except ValueError as exc:
-            raise NodeOutOfRange(str(exc)) from exc
-
-    def psi_at_nodes(self, times) -> np.ndarray:
-        return np.array([self.psi_diag[self.node_index(t)] for t in np.atleast_1d(times)])
-
 
 def quadratic_variation(kernel: TransferKernel) -> QVTable:
     """Bracket table for the martingale defined by `kernel`."""
@@ -221,11 +212,6 @@ def quadratic_variation(kernel: TransferKernel) -> QVTable:
         derivative=derivative,
         psi_diag=1.0 / derivative,
     )
-
-
-def psi_offdiag(qv: QVTable, s: float, t: float) -> float:
-    """psi(s, t) = (psi(s, s) + psi(t, t)) / 2 at grid nodes."""
-    return 0.5 * float(qv.psi_diag[qv.node_index(s)] + qv.psi_diag[qv.node_index(t)])
 
 
 @dataclass(frozen=True)

@@ -19,18 +19,14 @@ from mfou.experiments import (
     run_tail_slopes,
 )
 from mfou.inference import (
-    compute_Q,
+    compute_Q_batch,
     compute_Q_direct,
-    compute_Z,
-    mle,
+    compute_Z_batch,
+    estimate_batch,
     reconstruct_X,
-    score,
-    sufficient_statistics,
-    transform_path,
+    sufficient_statistics_batch,
 )
 from mfou.ldp import (
-    CONVENTION_MINUS,
-    CONVENTION_PLUS,
     OUT_OF_DOMAIN,
     cgf_limit,
     empirical_cgf,
@@ -88,14 +84,16 @@ def test_c01_h_half_closed_form_suite():
 
     spec = ProcessSpec(0.5, theta, grid)
     bundle = sample_mixed_path(spec, RandomStream(DEFAULT_SEED, (0,)))
-    tp = transform_path(bundle, kern, qv, theta)
-    q_err = float(np.max(np.abs(tp.Q - bundle.state)))
-
     x = bundle.state
+    z = compute_Z_batch(x[None], kern)
+    q, _ = compute_Q_batch(z, qv)
+    q_err = float(np.max(np.abs(q[0] - x)))
+
     classical = -float(np.sum(x[:-1] * np.diff(x))) / trapezoid_integral(
         x**2, np.full(cells, grid.dt)
     )
-    mle_err = abs(mle(tp, qv) - classical)
+    nums, dens = sufficient_statistics_batch(q, z, qv)
+    mle_err = abs(-float(nums[0]) / float(dens[0]) - classical)
 
     ok = g_err <= 1e-8 and bracket_err <= 1e-8 and psi_err <= 1e-8 and q_err <= 1e-9 and mle_err <= 1e-8
     _verdict(
@@ -139,7 +137,7 @@ def test_c03_roundtrip():
         qv = quadratic_variation(kern)
         spec = ProcessSpec(hurst, 1.0, grid)
         bundle = sample_mixed_path(spec, RandomStream(DEFAULT_SEED, (idx,)))
-        z = compute_Z(bundle, kern)
+        z = compute_Z_batch(bundle.state[None], kern)[0]
         back = reconstruct_X(z, inverse_kernel(kern, qv))
         rel = float(np.max(np.abs(back - bundle.state)) / np.max(np.abs(bundle.state)))
         worst = max(worst, rel)
@@ -158,10 +156,9 @@ def test_c04_two_representations():
         qv = quadratic_variation(kern)
         spec = ProcessSpec(0.7, 1.0, grid)
         bundle = sample_mixed_path(spec, RandomStream(DEFAULT_SEED, (4,)))
-        z = compute_Z(bundle, kern)
-        q, _ = compute_Q(z, qv)
-        q_direct = compute_Q_direct(bundle, kern, qv)
-        gaps[cells] = float(np.max(np.abs(q - q_direct)) / np.max(np.abs(q_direct)))
+        q, _ = compute_Q_batch(compute_Z_batch(bundle.state[None], kern), qv)
+        q_direct = compute_Q_direct(bundle.state, kern, qv)
+        gaps[cells] = float(np.max(np.abs(q[0] - q_direct)) / np.max(np.abs(q_direct)))
     ratio = gaps[1024] / gaps[512]
     # the refinement must stay under half of the base gate, i.e. first order
     ok = gaps[512] <= 0.05 and gaps[1024] <= 0.025
@@ -278,9 +275,8 @@ def test_c08_tail_slope():
         "LDP tail slope",
         ok,
         f"wls slope={slope:.5f}+-{slope_se:.5f} vs gate [{lo:.5f}, {hi:.5f}] "
-        f"(numeric rate {CONVENTION_PLUS} = {rows[0]['rate_numeric_plus']:.5f}); "
+        f"(numeric rate = {rows[0]['rate_numeric']:.5f}); "
         f"log-corrected slope={slope_adj:.5f}; printed-formula rate = {rows[0]['rate_printed']:g}; "
-        f"numeric rate {CONVENTION_MINUS} = {rows[0]['rate_numeric_minus']:g}; "
         f"p_hat by T: " + ", ".join(f"{t:g}: {p:.5f}" for t, p in sorted(probs.items())),
     )
     assert ok
@@ -385,12 +381,14 @@ def test_c12_property_suite():
     qv = quadratic_variation(kern)
     spec = ProcessSpec(0.7, theta, grid)
     bundle = sample_mixed_path(spec, RandomStream(DEFAULT_SEED, (12,)))
-    tp = transform_path(bundle, kern, qv, theta)
-    theta_hat = mle(tp, qv)
-    checks["score zero at estimate"] = abs(score(theta_hat, tp, qv)) < 1e-10
+    record = estimate_batch(bundle.state[None], kern, qv, theta, [0])[0]
+    theta_hat = record.theta_hat
+    # l(theta) = -theta*num - theta^2/2*den has derivative -num - theta*den
+    score = -record.numerator - theta_hat * record.denominator
+    checks["score zero at estimate"] = abs(score) < 1e-10
 
-    scaled = transform_path(17.0 * bundle.state, kern, qv, theta)
-    checks["scale invariance"] = mle(scaled, qv) == pytest.approx(theta_hat, rel=1e-12)
+    scaled = estimate_batch(17.0 * bundle.state[None], kern, qv, theta, [0])[0]
+    checks["scale invariance"] = scaled.theta_hat == pytest.approx(theta_hat, rel=1e-12)
 
     ok = all(checks.values())
     _verdict(12, "property suite", ok, "; ".join(f"{k}: {v}" for k, v in checks.items()))

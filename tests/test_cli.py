@@ -88,11 +88,13 @@ def test_parse_config_file_rejects(tmp_path, text, phrase):
 
 
 def test_rate_command(capsys):
-    assert main(["rate", "--theta", "1", "--x", "-1"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "printed two-branch formula: 0" in out
-    assert "b=-xa" in out
-    assert "b=+xa" in out
+    # both rates vanish at x = theta
+    assert main(["rate", "--theta", "1", "--x", "1"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "printed two-branch formula at -x: 0.0"
+    label, _, value = lines[2].partition(": ")
+    assert label == "numeric"
+    assert float(value) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_rate_requires_x(capsys):

@@ -26,8 +26,6 @@ from mfou.experiments import (
     run_tail_slopes,
 )
 from mfou.inference import sufficient_statistics_batch, compute_Q_batch, compute_Z_batch
-from mfou.ldp import girsanov_log_weight
-from mfou.inference import transform_path
 from mfou.numerics import RandomStream
 from mfou.paths import ProcessSpec, sample_state_batch
 
@@ -78,6 +76,8 @@ def test_config_validation():
         ExperimentConfig(tilt=-1.0)
     with pytest.raises(ConfigError):
         ExperimentConfig.from_manifest({"bogus_key": 1})
+    with pytest.raises(ConfigError, match="a_grid"):
+        ExperimentConfig.from_manifest({"a_grid": [0.0], "b_grid": []})
 
 
 def test_grid_for_scaling():
@@ -145,11 +145,14 @@ def test_importance_weights_match_girsanov(kernel_07, qv_07):
         numerators=nums, denominators=dens, theta_hat=-nums / dens, failures=0, reps=4
     )
     weights = _importance_weights(theta_target, theta_sim, draws)
-    # dP(target)/dP(sim) is the drift-change exponential with phi = -target
-    # evaluated on a path whose true drift is the simulation drift
+
+    # dP(target)/dP(sim) = exp(l(target) - l(sim)) with the log-likelihood
+    # l(theta) = -theta * int Q dZ - theta^2/2 * int Q^2 d<M>
+    def loglik(theta, r):
+        return -theta * nums[r] - 0.5 * theta**2 * dens[r]
+
     for r in range(4):
-        tp = transform_path(states[r], kernel_07, qv_07, theta_sim)
-        expected = math.exp(girsanov_log_weight(-theta_target, tp, qv_07))
+        expected = math.exp(loglik(theta_target, r) - loglik(theta_sim, r))
         assert weights[r] == pytest.approx(expected, rel=1e-12)
 
 
@@ -205,10 +208,9 @@ def test_tail_slopes_small_run():
     assert methods == {(2.0, "plain"), (2.0, "tilted"), (4.0, "plain"), (4.0, "tilted")}
     for r in rows:
         assert 0.0 <= r["ci_lo"] <= r["p_hat"] <= r["ci_hi"] <= 1.0
-        assert r["rate_printed"] == pytest.approx(2.0 * 1.0 + 1.0)  # printed infimum at gamma_lo
-        # the numeric rate touches zero inside this tail (at x = theta)
-        assert r["rate_numeric_plus"] == pytest.approx(0.0, abs=1e-8)
-        assert r["rate_numeric_minus"] == math.inf
+        # both rates touch zero at this tail's end x = theta
+        assert r["rate_printed"] == 0.0
+        assert r["rate_numeric"] == pytest.approx(0.0, abs=1e-8)
     slopes = report.manifest["slopes"]
     assert len(slopes) == 1  # one fit per (H, tail), on the preferred series
     fit = slopes[0]["fit"]

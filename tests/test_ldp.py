@@ -3,24 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from mfou.experiments import _CellDraws, _importance_weights
+from mfou.inference import compute_Q_batch, compute_Z_batch, sufficient_statistics_batch
 from mfou.ldp import (
-    CONVENTION_MINUS,
-    CONVENTION_PLUS,
     OUT_OF_DOMAIN,
-    RateQuery,
     cgf_limit,
     empirical_cgf,
-    girsanov_log_weight,
     k_limit,
-    rate_function_both,
     rate_function_numeric,
     rate_function_printed,
+    rate_function_printed_reflected,
     tail_rate_numeric,
     tail_rate_printed,
 )
-from mfou.inference import transform_path
 from mfou.numerics import RandomStream
-from mfou.paths import ProcessSpec, sample_mixed_path
+from mfou.paths import ProcessSpec, sample_state_batch
 
 
 def test_cgf_limit_closed_form():
@@ -78,66 +75,67 @@ def test_rate_printed_nonnegative_unique_zero():
     assert xs[zero[0]] == pytest.approx(-theta)
 
 
-def test_rate_numeric_conventions():
-    minus, plus = rate_function_both(1.5, 1.0)
-    assert minus.convention == CONVENTION_MINUS
-    assert plus.convention == CONVENTION_PLUS
-    # the minus pairing makes the objective unbounded below on this tail
-    assert minus.value == math.inf
-    assert minus.unbounded
-    assert math.isfinite(plus.value)
-    assert not plus.unbounded
+def test_rate_numeric_finite_above_unbounded_below():
+    # b = +x*a: finite on the upper tail, unbounded below (+inf) at its mirror point
+    assert rate_function_numeric(1.5, 1.0) == pytest.approx(1.0 / 24.0, abs=1e-6)
+    assert rate_function_numeric(-1.5, 1.0) == math.inf
 
 
-def test_rate_numeric_zero_at_minus_theta():
-    # on the negative axis the minus pairing is the bounded one
-    res = rate_function_numeric(RateQuery(x=-1.0, theta=1.0, convention=CONVENTION_MINUS))
-    assert res.value == pytest.approx(0.0, abs=1e-8)
-    assert not res.unbounded
+def test_rate_numeric_zero_at_theta():
+    assert rate_function_numeric(1.0, 1.0) == pytest.approx(0.0, abs=1e-8)
+    assert rate_function_numeric(2.0, 2.0) == pytest.approx(0.0, abs=1e-8)
 
 
-def test_rate_query_validation():
+def test_rate_numeric_validation():
     with pytest.raises(ValueError):
-        RateQuery(x=1.0, theta=0.0)
-    with pytest.raises(ValueError):
-        RateQuery(x=1.0, theta=1.0, convention="sideways")
+        rate_function_numeric(1.0, 0.0)
+
+
+def test_rate_printed_reflected():
+    # the printed formula read at -x: zero at x = theta, 1/24 at x = 1.5
+    for x in (-2.0, -0.2, 0.2, 1.0, 1.5):
+        assert rate_function_printed_reflected(x, 1.0) == rate_function_printed(-x, 1.0)
+    assert rate_function_printed_reflected(1.0, 1.0) == 0.0
+    assert rate_function_printed_reflected(1.5, 1.0) == pytest.approx(1.0 / 24.0)
 
 
 def test_tail_rates_frozen():
     # reference values reported by every tail experiment at theta = 1
-    assert tail_rate_printed(1.5, math.inf, 1.0) == pytest.approx(4.0)
-    assert tail_rate_numeric(1.5, math.inf, 1.0, CONVENTION_MINUS) == math.inf
-    assert tail_rate_numeric(1.5, math.inf, 1.0, CONVENTION_PLUS) == pytest.approx(
-        1.0 / 24.0, abs=1e-6
-    )
+    assert tail_rate_printed(1.5, math.inf, 1.0) == pytest.approx(1.0 / 24.0)
+    assert tail_rate_printed(1.0, math.inf, 1.0) == 0.0
+    assert tail_rate_numeric(1.5, math.inf, 1.0) == pytest.approx(1.0 / 24.0, abs=1e-6)
 
 
 def test_tail_rate_printed_interior_minimum():
-    # interval containing -theta: infimum 0 at the interior zero
-    assert tail_rate_printed(-2.0, 0.0, 1.0) == pytest.approx(0.0)
+    # interval containing theta: infimum 0 at the interior zero
+    assert tail_rate_printed(0.0, 2.0, 1.0) == pytest.approx(0.0)
+
+
+def _tail_draws(theta, kernel, qv, reps, seed):
+    spec = ProcessSpec(0.7, theta, kernel.grid)
+    states = sample_state_batch(spec, RandomStream(seed), range(reps))
+    z = compute_Z_batch(states, kernel)
+    q, _ = compute_Q_batch(z, qv)
+    nums, dens = sufficient_statistics_batch(q, z, qv)
+    return _CellDraws(
+        numerators=nums, denominators=dens, theta_hat=-nums / dens, failures=0, reps=reps
+    )
 
 
 @pytest.mark.parametrize("phi", [-0.7, -1.35])
 def test_girsanov_weight_has_unit_mean(kernel_07, qv_07, phi):
-    # keep the drift change modest; the weight variance explodes with it
+    # dP(-phi)/dP(theta) on paths drawn under theta; keep the drift change
+    # modest, the weight variance explodes with it
     theta = 1.0
-    spec = ProcessSpec(0.7, theta, kernel_07.grid)
-    base = RandomStream(404)
-    w = np.empty(2000)
-    for r in range(w.size):
-        bundle = sample_mixed_path(spec, base.child(r))
-        tp = transform_path(bundle, kernel_07, qv_07, theta)
-        w[r] = math.exp(girsanov_log_weight(phi, tp, qv_07))
+    w = _importance_weights(-phi, theta, _tail_draws(theta, kernel_07, qv_07, 2000, 404))
     se = w.std(ddof=1) / math.sqrt(w.size)
     assert w.mean() == pytest.approx(1.0, abs=3.5 * se)
     assert se < 0.05
 
 
 def test_girsanov_weight_trivial_at_matching_drift(kernel_07, qv_07):
-    spec = ProcessSpec(0.7, 1.0, kernel_07.grid)
-    bundle = sample_mixed_path(spec, RandomStream(404, (5,)))
-    tp = transform_path(bundle, kernel_07, qv_07, 1.0)
-    assert girsanov_log_weight(-1.0, tp, qv_07) == 0.0
+    draws = _tail_draws(1.0, kernel_07, qv_07, 8, 404)
+    assert np.array_equal(_importance_weights(1.0, 1.0, draws), np.ones(8))
 
 
 def test_empirical_cgf_diagnostics(kernel_07, qv_07):

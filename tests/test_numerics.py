@@ -1,34 +1,24 @@
 import numpy as np
 import pytest
 
-from mfou.errors import (
-    GridTooCoarse,
-    LengthMismatch,
-    NotPositiveDefinite,
-    SingularMatrix,
-)
+from mfou.errors import GridTooCoarse, LengthMismatch, NotPositiveDefinite
 from mfou.numerics import (
     MIN_CELLS,
     RandomStream,
     TimeGrid,
     cholesky_factor,
     finite_diff_derivative,
-    ito_sum,
-    solve_dense,
     trapezoid_integral,
-    trapezoid_running,
 )
 
 
 def test_grid_nodes_and_dt():
     grid = TimeGrid(2.0, 10)
     assert grid.dt == 0.2
-    assert grid.n == 10
     assert grid.nodes[0] == 0.0
     assert grid.nodes[-1] == 2.0
     assert grid.nodes.shape == (11,)
     assert np.allclose(np.diff(grid.nodes), 0.2)
-    assert np.allclose(grid.midpoints, grid.nodes[:-1] + 0.1)
 
 
 def test_grid_nodes_frozen():
@@ -62,16 +52,16 @@ def test_grid_validation():
 
 
 def test_stream_is_deterministic():
-    a = RandomStream(123, (1, 2)).normals(8)
-    b = RandomStream(123, (1, 2)).normals(8)
+    a = RandomStream(123, (1, 2)).generator().standard_normal(8)
+    b = RandomStream(123, (1, 2)).generator().standard_normal(8)
     assert np.array_equal(a, b)
 
 
 def test_stream_children_differ():
     base = RandomStream(123)
-    a = base.child(0).normals(8)
-    b = base.child(1).normals(8)
-    c = base.child(0, 1).normals(8)
+    a = base.child(0).generator().standard_normal(8)
+    b = base.child(1).generator().standard_normal(8)
+    c = base.child(0, 1).generator().standard_normal(8)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert base.child(0).key == (0,)
@@ -80,9 +70,9 @@ def test_stream_children_differ():
 
 def test_stream_order_independent():
     # drawing from one address must not perturb another
-    first = RandomStream(9, (4,)).normals(4)
-    RandomStream(9, (5,)).normals(100)
-    again = RandomStream(9, (4,)).normals(4)
+    first = RandomStream(9, (4,)).generator().standard_normal(4)
+    RandomStream(9, (5,)).generator().standard_normal(100)
+    again = RandomStream(9, (4,)).generator().standard_normal(4)
     assert np.array_equal(first, again)
 
 
@@ -113,18 +103,6 @@ def test_cholesky_jitters_marginal_matrix():
     assert np.allclose(low @ low.T, a, atol=1e-10)
 
 
-def test_solve_dense_matches_numpy():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
-    b = rng.standard_normal(6)
-    assert np.allclose(solve_dense(a, b), np.linalg.solve(a, b))
-
-
-def test_solve_dense_singular():
-    with pytest.raises(SingularMatrix):
-        solve_dense(np.zeros((3, 3)), np.ones(3))
-
-
 def test_trapezoid_square_oracle():
     # trapezoid of t^2 on [0,1] with 10 cells is exactly 1/3 + dt^2/6 = 0.335
     nodes = np.linspace(0.0, 1.0, 11)
@@ -132,40 +110,9 @@ def test_trapezoid_square_oracle():
     assert trapezoid_integral(nodes**2, inc) == pytest.approx(0.335, abs=1e-12)
 
 
-def test_trapezoid_running_consistent():
-    rng = np.random.default_rng(11)
-    v = rng.standard_normal(33)
-    inc = rng.random(32) + 0.1
-    run = trapezoid_running(v, inc)
-    assert run[0] == 0.0
-    assert run[-1] == pytest.approx(trapezoid_integral(v, inc))
-    assert run.shape == v.shape
-
-
 def test_trapezoid_length_check():
     with pytest.raises(LengthMismatch):
         trapezoid_integral(np.ones(5), np.ones(5))
-
-
-def test_ito_sum_telescoping_identity():
-    # sum X dX = (X_n^2 - X_0^2)/2 - (1/2) sum (dX)^2
-    rng = np.random.default_rng(21)
-    x = np.cumsum(rng.standard_normal(200))
-    s = ito_sum(x, x)
-    expected = 0.5 * (x[-1] ** 2 - x[0] ** 2) - 0.5 * np.sum(np.diff(x) ** 2)
-    assert s[0] == 0.0
-    assert s[-1] == pytest.approx(expected)
-
-
-def test_ito_sum_ignores_last_integrand_value():
-    x = np.array([0.0, 1.0, 3.0])
-    f = np.array([2.0, 5.0, 999.0])
-    assert np.array_equal(ito_sum(f, x), [0.0, 2.0, 12.0])
-
-
-def test_ito_sum_length_check():
-    with pytest.raises(LengthMismatch):
-        ito_sum(np.ones(4), np.ones(5))
 
 
 def test_finite_diff_cubic():

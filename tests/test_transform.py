@@ -5,7 +5,7 @@ from scipy.linalg import cholesky, solve_triangular, toeplitz
 from mfou.errors import NodeOutOfRange, NonMonotoneBracket, ResidualTooLarge
 from mfou.numerics import RandomStream, TimeGrid
 from mfou.paths import ProcessSpec, fgn_covariance_matrix, sample_mixed_path
-from mfou.inference import compute_Z, reconstruct_X
+from mfou.inference import compute_Z_batch, reconstruct_X
 from mfou.transform import (
     RESIDUAL_BOUND,
     SCHEME_VERSION,
@@ -13,7 +13,6 @@ from mfou.transform import (
     build_kernel,
     collocation_column,
     inverse_kernel,
-    psi_offdiag,
     quadratic_variation,
     solve_g,
 )
@@ -125,25 +124,10 @@ def test_quadratic_variation_rejects_nonmonotone():
         quadratic_variation(kern)
 
 
-def test_psi_offdiag_symmetric(qv_07):
-    s, t = 0.25, 1.5
-    assert psi_offdiag(qv_07, s, t) == psi_offdiag(qv_07, t, s)
-    assert psi_offdiag(qv_07, s, s) == pytest.approx(qv_07.psi_diag[qv_07.node_index(s)])
-
-
-def test_qv_node_lookup(qv_07):
-    assert qv_07.node_index(0.5) == 16
-    with pytest.raises(NodeOutOfRange):
-        qv_07.node_index(0.51)
-    got = qv_07.psi_at_nodes([0.0, 0.5])
-    assert got.shape == (2,)
-    assert got[1] == qv_07.psi_diag[16]
-
-
 def test_roundtrip_reconstruction(kernel_07, qv_07):
     spec = ProcessSpec(0.7, 1.0, kernel_07.grid)
     bundle = sample_mixed_path(spec, RandomStream(3, (1,)))
-    z = compute_Z(bundle, kernel_07)
+    z = compute_Z_batch(bundle.state[None], kernel_07)[0]
     inv = inverse_kernel(kernel_07, qv_07)
     back = reconstruct_X(z, inv)
     rel = np.max(np.abs(back - bundle.state)) / np.max(np.abs(bundle.state))
