@@ -29,12 +29,7 @@ from scipy.stats import beta as _beta
 
 from . import __version__
 from .errors import ConfigError, ExperimentInvalid, NumericalError
-from .inference import (
-    DEGENERATE_DENOMINATOR,
-    compute_Q_batch,
-    compute_Z_batch,
-    sufficient_statistics_batch,
-)
+from .inference import DEGENERATE_DENOMINATOR, path_statistics_batch
 from .ldp import (
     empirical_cgf,
     k_limit,
@@ -278,9 +273,7 @@ def _collect_cell(config: ExperimentConfig, spec: ProcessSpec, kernel, qv, key) 
     for lo in range(0, config.reps, _CHUNK):
         ids = range(lo, min(lo + _CHUNK, config.reps))
         states = sample_state_batch(spec, base, ids)
-        z = compute_Z_batch(states, kernel)
-        q, _ = compute_Q_batch(z, qv)
-        n_, d_ = sufficient_statistics_batch(q, z, qv)
+        n_, d_ = path_statistics_batch(states, kernel, qv)
         nums.append(np.asarray(n_, dtype=float))
         dens.append(np.asarray(d_, dtype=float))
     num = np.concatenate(nums)

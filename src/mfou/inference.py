@@ -18,8 +18,9 @@ drift estimator and likelihood only need two path functionals,
 
 giving theta_hat = -numerator/denominator, the maximiser of the
 log-likelihood l(theta) = -theta*numerator - theta^2/2 * denominator.
-The pipeline Z -> Q -> statistics -> estimate runs on (reps, nodes)
-batches of state paths; one path is the batch state[None].
+The chain Z -> Q -> statistics runs in `path_statistics_batch` on
+(reps, nodes) batches of state paths, for the estimator and for every Monte
+Carlo study; one path is the batch state[None].
 
 A slower definitional route for Q (derivative of int_0^t g(s,t) X_s ds with
 respect to the bracket) is kept as a cross-check of the two-term formula.
@@ -127,6 +128,13 @@ def sufficient_statistics_batch(q: np.ndarray, z: np.ndarray, qv: QVTable):
     return numerator, denominator
 
 
+def path_statistics_batch(states: np.ndarray, kernel: TransferKernel, qv: QVTable):
+    """(int Q dZ, int Q^2 d<M>) per state path: the Z -> Q -> statistics chain."""
+    z = compute_Z_batch(states, kernel)
+    q, _ = compute_Q_batch(z, qv)
+    return sufficient_statistics_batch(q, z, qv)
+
+
 def reconstruct_X(z: np.ndarray, inverse: InverseKernel) -> np.ndarray:
     """X at every node from Z increments via the reconstruction kernel."""
     n = inverse.grid.cells
@@ -146,9 +154,7 @@ def estimate_batch(
     rep_ids,
 ) -> list[EstimateRecord]:
     """Estimates for a batch of state paths; records carry both statistics."""
-    z = compute_Z_batch(states, kernel)
-    q, _ = compute_Q_batch(z, qv)
-    numerator, denominator = sufficient_statistics_batch(q, z, qv)
+    numerator, denominator = path_statistics_batch(states, kernel, qv)
     records = []
     for r, rep in enumerate(rep_ids):
         den = float(denominator[r])

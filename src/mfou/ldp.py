@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch
-from .inference import compute_Q_batch, compute_Z_batch, sufficient_statistics_batch
+from .inference import path_statistics_batch
 from .paths import ProcessSpec, sample_state_batch
 from .transform import QVTable, TransferKernel
 
@@ -218,9 +218,7 @@ def empirical_cgf(
     for start in range(0, reps, batch):
         ids = range(start, min(start + batch, reps))
         states = sample_state_batch(spec, stream, ids)
-        z = compute_Z_batch(states, kernel)
-        q, _ = compute_Q_batch(z, qv)
-        nums, dens = sufficient_statistics_batch(q, z, qv)
+        nums, dens = path_statistics_batch(states, kernel, qv)
         w[start : start + len(nums)] = a * nums + b * dens
 
     lme, p = _log_mean_exp(w)

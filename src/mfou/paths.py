@@ -10,6 +10,12 @@ is sampled through a circulant embedding of its autocovariance (FFT route),
 with a dense Cholesky fallback if the embedding is not nonnegative definite.
 H = 1 is the degenerate perfectly-correlated case B^1_t = t * xi and is
 sampled directly.
+
+`sample_mixed_path` draws one replication from generators built by
+`RandomStream.generator`, as numpy builds them; it is the reference for
+replay. `sample_state_batch` reproduces it bit for bit: it derives the Philox
+keys of every replication's substreams in one pass (`RandomStream.child_keys`)
+and re-keys one generator to each, with no SeedSequence per replication.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import EmbeddingFailed, LengthMismatch, NodeSetTooLarge
-from .numerics import RandomStream, TimeGrid, cholesky_factor
+from .numerics import RandomStream, TimeGrid, cholesky_factor, rekeyed
 
 # Substream indices within one replication's stream; fixed so that a path is
 # reproducible from its stream address alone.
@@ -118,24 +124,13 @@ def _embedding_eigenvalues(n: int, hurst: float, dt: float) -> np.ndarray | None
     return np.clip(eig, 0.0, None)
 
 
-def _fgn_from_embedding(eig: np.ndarray, draws: np.ndarray, n: int) -> np.ndarray:
-    """Map 2n standard normals through the circulant factor to n fGn samples.
-
-    Draw layout is fixed: draws[0] feeds frequency 0, draws[2k-1], draws[2k]
-    feed frequency k for 1 <= k < n, draws[2n-1] feeds frequency n.
-    """
-    m = 2 * n
-    spectrum = np.zeros(m, dtype=complex)
-    spectrum[0] = np.sqrt(eig[0]) * draws[..., 0]
-    spectrum[n] = np.sqrt(eig[n]) * draws[..., -1]
-    half = np.sqrt(0.5 * eig[1:n])
-    spectrum[1:n] = half * (draws[..., 1 : 2 * n - 2 : 2] + 1j * draws[..., 2 : 2 * n - 1 : 2])
-    spectrum[n + 1 :] = np.conj(spectrum[1:n][::-1])
-    return (np.fft.fft(spectrum) / np.sqrt(m)).real[:n]
-
-
 def _fgn_from_embedding_batch(eig: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Vectorized version of `_fgn_from_embedding` for draws of shape (R, 2n)."""
+    """Map rows of 2n standard normals through the circulant factor to n fGn samples.
+
+    `draws` has shape (R, 2n). Draw layout is fixed: draws[:, 0] feeds
+    frequency 0, draws[:, 2k-1] and draws[:, 2k] feed frequency k for
+    1 <= k < n, draws[:, 2n-1] feeds frequency n.
+    """
     reps, m = draws.shape
     n = m // 2
     spectrum = np.zeros((reps, m), dtype=complex)
@@ -156,7 +151,7 @@ def sample_fbm_increments(spec: ProcessSpec, stream: RandomStream) -> np.ndarray
         return np.full(n, spec.grid.dt * xi)
     eig = _embedding_eigenvalues(n, spec.hurst, spec.grid.dt)
     if eig is not None:
-        return _fgn_from_embedding(eig, rng.standard_normal(2 * n), n)
+        return _fgn_from_embedding_batch(eig, rng.standard_normal(2 * n)[None])[0]
     cov = fgn_covariance_matrix(n, spec.hurst, spec.grid.dt)
     try:
         factor = cholesky_factor(cov)
@@ -192,36 +187,39 @@ def sample_state_batch(spec: ProcessSpec, base: RandomStream, rep_ids) -> np.nda
     """State paths for many replications, shape (len(rep_ids), cells+1).
 
     Row r equals sample_mixed_path(spec, base.child(rep_ids[r])).state bit for
-    bit: per-replication draws come from the replication's own stream, only
-    the FFT/filter stages are batched.
+    bit: one generator, re-keyed to each replication's substream keys in
+    turn, draws straight into the rows; the FFT/filter stages are batched.
     """
     rep_ids = list(rep_ids)
     n, dt = spec.grid.cells, spec.grid.dt
     reps = len(rep_ids)
+    gen = base.generator()
+
+    def substream(sub):
+        return rekeyed(gen, base.child_keys(rep_ids, sub))
+
     d_bm = np.empty((reps, n))
-    for r, rep in enumerate(rep_ids):
-        d_bm[r] = base.child(rep, _SUB_BM).generator().standard_normal(n)
+    for row, rng in zip(d_bm, substream(_SUB_BM)):
+        rng.standard_normal(out=row)
     d_bm *= np.sqrt(dt)
 
     if spec.hurst == 1.0:
-        xi = np.empty(reps)
-        for r, rep in enumerate(rep_ids):
-            xi[r] = base.child(rep, _SUB_FBM).generator().standard_normal()
+        xi = np.array([rng.standard_normal() for rng in substream(_SUB_FBM)])
         d_fbm = dt * xi[:, None] * np.ones(n)
     else:
         eig = _embedding_eigenvalues(n, spec.hurst, dt)
+        draws = np.empty((reps, n if eig is None else 2 * n))
+        for row, rng in zip(draws, substream(_SUB_FBM)):
+            rng.standard_normal(out=row)
         if eig is not None:
-            draws = np.empty((reps, 2 * n))
-            for r, rep in enumerate(rep_ids):
-                draws[r] = base.child(rep, _SUB_FBM).generator().standard_normal(2 * n)
             d_fbm = _fgn_from_embedding_batch(eig, draws)
         else:
-            cov = fgn_covariance_matrix(n, spec.hurst, dt)
-            factor = cholesky_factor(cov)
-            draws = np.empty((reps, n))
-            for r, rep in enumerate(rep_ids):
-                draws[r] = base.child(rep, _SUB_FBM).generator().standard_normal(n)
-            d_fbm = draws @ factor.T
+            factor = cholesky_factor(fgn_covariance_matrix(n, spec.hurst, dt))
+            # one matrix-vector product per row, as the single path takes: the
+            # rounding of a matrix product's rows depends on how many there are
+            d_fbm = np.empty_like(draws)
+            for r, row in enumerate(draws):
+                d_fbm[r] = factor @ row
 
     d_mix = d_bm + d_fbm
     state = np.empty((reps, n + 1))

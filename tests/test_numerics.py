@@ -8,6 +8,7 @@ from mfou.numerics import (
     TimeGrid,
     cholesky_factor,
     finite_diff_derivative,
+    rekeyed,
     trapezoid_integral,
 )
 
@@ -81,6 +82,43 @@ def test_stream_rejects_bad_seed():
         RandomStream(-1)
     with pytest.raises(ValueError):
         RandomStream(1.5)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("master_seed", [0, 1, 2**32, 2**63 + 5, 2**130 + 7])
+@pytest.mark.parametrize("prefix", [(), (0,), (2**40,)])
+def test_child_keys_match_seed_sequence(master_seed, prefix):
+    # the key that Philox(SeedSequence(...)) takes, for every edge address;
+    # any RuntimeWarning (uint32 scalar overflow) fails the test
+    stream = RandomStream(master_seed, prefix)
+    rep_ids = [0, 1, 2**32 - 1]
+    for sub in (0, 1):
+        keys = stream.child_keys(rep_ids, sub)
+        assert keys.shape == (3, 2) and keys.dtype == np.uint64
+        for key, rep in zip(keys, rep_ids):
+            seq = np.random.SeedSequence(entropy=master_seed, spawn_key=prefix + (rep, sub))
+            assert np.array_equal(key, seq.generate_state(2, np.uint64))
+
+
+def test_child_keys_reject_out_of_range_ids():
+    stream = RandomStream(5, (1,))
+    for bad in ([-1], [0, 2**32]):
+        with pytest.raises(ValueError):
+            stream.child_keys(bad, 0)
+    assert stream.child_keys([], 0).shape == (0, 2)
+
+
+def test_rekeyed_generator_matches_fresh_child():
+    base = RandomStream(31, (2,))
+    gen = base.generator()
+    # leave the buffer part used and a spare 32-bit word pending
+    gen.integers(0, 10, dtype=np.uint32)
+    gen.random(3)
+    rep_ids = [6, 0, 6]
+    for rng, rep in zip(rekeyed(gen, base.child_keys(rep_ids, 1)), rep_ids):
+        fresh = base.child(rep, 1).generator().standard_normal(7)
+        assert np.array_equal(rng.standard_normal(7), fresh)
+        rng.integers(0, 10, dtype=np.uint32)
 
 
 def test_cholesky_known_factor():

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from mfou import paths
 from mfou.errors import LengthMismatch, NodeSetTooLarge
 from mfou.numerics import RandomStream, TimeGrid
 from mfou.paths import (
@@ -93,11 +94,16 @@ def test_state_follows_euler_recursion():
     assert np.allclose(bundle.state, replay, atol=1e-12)
 
 
-@pytest.mark.parametrize("hurst", [0.7, 1.0])
-def test_batch_rows_equal_single_paths(hurst):
+@pytest.mark.parametrize(
+    "hurst, fallback", [(0.7, False), (1.0, False), (0.7, True)], ids=["0.7", "1.0", "0.7-fallback"]
+)
+def test_batch_rows_equal_single_paths(hurst, fallback, monkeypatch):
+    if fallback:
+        # reject the circulant embedding: both paths take the Cholesky branch
+        monkeypatch.setattr(paths, "_embedding_eigenvalues", lambda *args: None)
     spec = _spec(hurst, cells=32)
     base = RandomStream(77)
-    rep_ids = [0, 3, 9]
+    rep_ids = [9, 0, 3]
     batch = sample_state_batch(spec, base, rep_ids)
     assert batch.shape == (3, 33)
     for row, rep in zip(batch, rep_ids):
