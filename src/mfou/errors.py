@@ -84,6 +84,20 @@ class BlowUp(NumericalError):
         super().__init__(f"solution magnitude {magnitude:.3e} at t={time:.6g}")
 
 
+class StepNotConverged(NumericalError):
+    """An ODE grid interval missed the local-error test after `halvings` substep halvings."""
+
+    def __init__(self, time: float, halvings: int, change: float, bound: float):
+        self.time = float(time)
+        self.halvings = int(halvings)
+        self.change = float(change)
+        self.bound = float(bound)
+        super().__init__(
+            f"interval at t={time:.6g}: refinement change {change:.3e} exceeds {bound:.3e} "
+            f"after {halvings} halvings"
+        )
+
+
 class NonPositiveDet(NumericalError):
     """det(Psi1) <= 0 where the log-determinant route needs it positive."""
 

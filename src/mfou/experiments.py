@@ -669,8 +669,10 @@ def run_cgf_convergence(config: ExperimentConfig) -> ExperimentReport:
 
     Per (H, mu, T) cell: the trace route, the determinant route, and the
     Monte Carlo estimate with its bootstrap error, plus distances to the
-    closed-form limit. Solver blow-ups are recorded per cell, not fatal. The
-    trend per (H, mu) passes when distances do not increase along the horizon
+    closed-form limit. Each route's numerical failure is recorded in its own
+    field of the cell (`blowup` is set when any route failed) and does not
+    discard the other routes' values. The trend per (H, mu) runs over the
+    Riccati distances and passes when they do not increase along the horizon
     grid and the last one is within 0.05.
     """
     if not config.mu_grid:
@@ -692,21 +694,29 @@ def run_cgf_convergence(config: ExperimentConfig) -> ExperimentReport:
             spec = ProcessSpec(hurst=hurst, theta=config.theta, grid=grid)
             for m_idx, mu in enumerate(config.mu_grid):
                 lim = k_limit(mu, config.theta) + 0.0
-                blowup = ""
+                errors = {"riccati": "", "liouville": "", "mc": ""}
                 k_ric = k_lio = k_mc = mc_se = math.nan
                 unreliable = False
+                run = None
                 try:
                     run = solve_riccati(config.theta, mu, qv)
                     k_ric = k_T_via_riccati(run)
-                    k_lio = k_T_via_liouville(config.theta, mu, qv)
-                    stream = RandomStream(
-                        master_seed=config.master_seed, key=(_EXP_CGF, h_idx, t_idx, m_idx)
-                    )
+                except NumericalError as exc:
+                    errors["riccati"] = f"{type(exc).__name__}: {exc}"
+                try:
+                    k_lio = k_T_via_liouville(config.theta, mu, qv, riccati_run=run)
+                except NumericalError as exc:
+                    errors["liouville"] = f"{type(exc).__name__}: {exc}"
+                stream = RandomStream(
+                    master_seed=config.master_seed, key=(_EXP_CGF, h_idx, t_idx, m_idx)
+                )
+                try:
                     est = empirical_cgf(0.0, -mu, spec, kernel, qv, config.reps, stream)
                     k_mc, mc_se = est.value, est.stderr
                     unreliable = bool(est.unreliable or est.heavy_tail)
                 except NumericalError as exc:
-                    blowup = f"{type(exc).__name__}: {exc}"
+                    errors["mc"] = f"{type(exc).__name__}: {exc}"
+                blowup = any(errors.values())
                 d_ric = abs(k_ric - lim)
                 d_lio = abs(k_lio - lim)
                 d_mc = abs(k_mc - lim)
@@ -724,7 +734,7 @@ def run_cgf_convergence(config: ExperimentConfig) -> ExperimentReport:
                         d_lio,
                         d_mc,
                         unreliable,
-                        bool(blowup),
+                        blowup,
                     )
                 )
                 cells.append(
@@ -738,10 +748,11 @@ def run_cgf_convergence(config: ExperimentConfig) -> ExperimentReport:
                         "k_mc": k_mc,
                         "mc_stderr": mc_se,
                         "k_limit": lim,
+                        **{f"{route}_error": err for route, err in errors.items()},
                         "blowup": blowup,
                     }
                 )
-                if not blowup:
+                if not errors["riccati"]:
                     dists.setdefault((h_idx, m_idx), []).append(d_ric)
     trends = []
     for (h_idx, m_idx), seq in sorted(dists.items()):

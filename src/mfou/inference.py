@@ -131,7 +131,7 @@ def sufficient_statistics_batch(q: np.ndarray, z: np.ndarray, qv: QVTable):
 def path_statistics_batch(states: np.ndarray, kernel: TransferKernel, qv: QVTable):
     """(int Q dZ, int Q^2 d<M>) per state path: the Z -> Q -> statistics chain."""
     z = compute_Z_batch(states, kernel)
-    q, _ = compute_Q_batch(z, qv)
+    q = compute_Q_batch(z, qv)[0]
     return sufficient_statistics_batch(q, z, qv)
 
 

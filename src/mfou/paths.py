@@ -38,6 +38,12 @@ _SUB_FBM = 1
 # treated as roundoff and clipped; anything worse triggers the fallback.
 _EIG_CLIP_REL = 1e-12
 
+# Rows per FFT block in the circulant embedding: the complex spectrum and its
+# transform take 32 bytes per row and lattice cell, so a whole batch at once
+# would dominate a run's peak memory. Rows transform independently, so the
+# block size does not change a single bit of the output.
+_FFT_ROWS = 64
+
 
 class ExperimentalHurstWarning(UserWarning):
     """Raised once per process spec with H < 0.5 (supported but experimental)."""
@@ -133,13 +139,17 @@ def _fgn_from_embedding_batch(eig: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """
     reps, m = draws.shape
     n = m // 2
-    spectrum = np.zeros((reps, m), dtype=complex)
-    spectrum[:, 0] = np.sqrt(eig[0]) * draws[:, 0]
-    spectrum[:, n] = np.sqrt(eig[n]) * draws[:, -1]
     half = np.sqrt(0.5 * eig[1:n])
-    spectrum[:, 1:n] = half * (draws[:, 1 : m - 2 : 2] + 1j * draws[:, 2 : m - 1 : 2])
-    spectrum[:, n + 1 :] = np.conj(spectrum[:, 1:n][:, ::-1])
-    return (np.fft.fft(spectrum, axis=1) / np.sqrt(m)).real[:, :n]
+    out = np.empty((reps, n))
+    for start in range(0, reps, _FFT_ROWS):
+        block = draws[start : start + _FFT_ROWS]
+        spectrum = np.zeros((len(block), m), dtype=complex)
+        spectrum[:, 0] = np.sqrt(eig[0]) * block[:, 0]
+        spectrum[:, n] = np.sqrt(eig[n]) * block[:, -1]
+        spectrum[:, 1:n] = half * (block[:, 1 : m - 2 : 2] + 1j * block[:, 2 : m - 1 : 2])
+        spectrum[:, n + 1 :] = np.conj(spectrum[:, 1:n][:, ::-1])
+        out[start : start + len(block)] = (np.fft.fft(spectrum, axis=1) / np.sqrt(m)).real[:, :n]
+    return out
 
 
 def sample_fbm_increments(spec: ProcessSpec, stream: RandomStream) -> np.ndarray:
@@ -213,6 +223,7 @@ def sample_state_batch(spec: ProcessSpec, base: RandomStream, rep_ids) -> np.nda
             rng.standard_normal(out=row)
         if eig is not None:
             d_fbm = _fgn_from_embedding_batch(eig, draws)
+            del draws  # released before the filter stage, like the increments below
         else:
             factor = cholesky_factor(fgn_covariance_matrix(n, spec.hurst, dt))
             # one matrix-vector product per row, as the single path takes: the
@@ -222,6 +233,8 @@ def sample_state_batch(spec: ProcessSpec, base: RandomStream, rep_ids) -> np.nda
                 d_fbm[r] = factor @ row
 
     d_mix = d_bm + d_fbm
+    # the filter stage sets the batch's peak memory: hold no input arrays through it
+    del d_bm, d_fbm
     state = np.empty((reps, n + 1))
     state[:, 0] = 0.0
     state[:, 1:] = lfilter([1.0], [1.0, -(1.0 - spec.theta * dt)], d_mix, axis=1)

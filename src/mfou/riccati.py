@@ -18,7 +18,9 @@ Psi_1' = (theta/2) Psi_1 A + (mu/2) Psi_2 R, Psi_2' = Psi_1 B -
 (theta/2) Psi_2 A^T with Gamma = Psi_1^{-1} Psi_2, giving
 K_T = -(1/2T) log det Psi_1(T) + theta/2. Both integrate with classical
 RK4 on the bracket-table grid, halving steps until successive refinements
-agree to LOCAL_ERROR. A third object, M' = lam (A M + M A) with
+agree to LOCAL_ERROR relative to the state's size (absolute below size 1);
+an interval that still disagrees after MAX_HALVINGS raises
+StepNotConverged. A third object, M' = lam (A M + M A) with
 M(0) = -I, is the ratio M = Upsilon_2^{-1} Upsilon_1 of the +-lam
 components of the linearized pair, Psi_1 = a_+ Upsilon_1 + a_- Upsilon_2,
 so that
@@ -44,7 +46,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUp, ComplexEigenvalues, NonPositiveDet, PsiNotPositive, ResidualTooLarge
+from .errors import (
+    BlowUp,
+    ComplexEigenvalues,
+    NonPositiveDet,
+    PsiNotPositive,
+    ResidualTooLarge,
+    StepNotConverged,
+)
 from .numerics import TimeGrid, trapezoid_integral
 from .transform import QVTable
 
@@ -117,7 +126,14 @@ def _rk4_step(f, t: float, y: np.ndarray, h: float) -> np.ndarray:
 
 
 def _advance(f, t0: float, y0: np.ndarray, h_total: float) -> np.ndarray:
-    """One grid interval, halving the substep until refinements agree."""
+    """One grid interval, halving the substep until refinements agree.
+
+    A refinement is accepted when max|y_fine - y_coarse| <= LOCAL_ERROR *
+    max(1, max|y_coarse|): absolute for states of size up to 1, relative on
+    the linear routes' states, which grow to RESCALE_MAGNITUDE. A non-finite
+    state is returned at once for the caller's BlowUp check; an interval
+    still unconverged after MAX_HALVINGS raises StepNotConverged.
+    """
     prev = None
     for level in range(MAX_HALVINGS + 1):
         sub = 2**level
@@ -128,10 +144,12 @@ def _advance(f, t0: float, y0: np.ndarray, h_total: float) -> np.ndarray:
         if prev is not None:
             if not np.all(np.isfinite(y)):
                 return y
-            if float(np.max(np.abs(y - prev))) <= LOCAL_ERROR:
+            change = float(np.max(np.abs(y - prev)))
+            bound = LOCAL_ERROR * max(1.0, float(np.max(np.abs(prev))))
+            if change <= bound:
                 return y
         prev = y
-    return prev
+    raise StepNotConverged(time=t0, halvings=MAX_HALVINGS, change=change, bound=bound)
 
 
 def _check_magnitude(y: np.ndarray, t: float) -> None:
@@ -152,7 +170,10 @@ def solve_riccati(theta: float, mu: float, qv: QVTable, horizon: float | None = 
     Starts at t_1 = dt from Gamma(dt) = B(dt) dt (Gamma(0) = 0 exactly);
     every accepted step is re-symmetrized. Raises BlowUp with the first time
     an entry passes BLOWUP_MAGNITUDE, which is the expected outcome for
-    tilts outside mu > -theta^2/2.
+    tilts outside mu > -theta^2/2. There the solution has a finite-time
+    singularity, and the steepening approach to it defeats the step control
+    first: outside that domain an unconverged interval is reported as BlowUp
+    at its start, chained from StepNotConverged.
     """
     stop = _stop_index(qv, horizon)
     times = qv.grid.nodes[: stop + 1]
@@ -173,7 +194,12 @@ def solve_riccati(theta: float, mu: float, qv: QVTable, horizon: float | None = 
     gamma[1] = b1 * dt
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, stop):
-            y = _advance(f, times[j], gamma[j], dt)
+            try:
+                y = _advance(f, times[j], gamma[j], dt)
+            except StepNotConverged as exc:
+                if mu > -half_theta * theta:
+                    raise
+                raise BlowUp(time=times[j], magnitude=float(np.max(np.abs(gamma[j])))) from exc
             y = 0.5 * (y + y.T)
             _check_magnitude(y, times[j + 1])
             gamma[j + 1] = y
@@ -212,23 +238,14 @@ def k_T_via_riccati(run: RiccatiRun, horizon: float | None = None) -> float:
     return -(run.mu / (4.0 * t_end)) * integral
 
 
-def solve_linearized(
-    theta: float,
-    mu: float,
-    qv: QVTable,
-    horizon: float | None = None,
-    *,
-    check_ratio: bool = True,
-) -> RiccatiRun:
+def solve_linearized(theta: float, mu: float, qv: QVTable, horizon: float | None = None) -> RiccatiRun:
     """(Psi_1, Psi_2) trajectories of the linearized system.
 
     Shares the Riccati start-up (Psi_1(dt) = I, Psi_2(dt) = B(dt) dt so that
     Psi_1^{-1} Psi_2 = Gamma(dt)). The stored matrices are jointly rescaled
     whenever they pass RESCALE_MAGNITUDE (the ratio Gamma is scale-free)
-    and the true matrices are psi_i[j] * exp(log_scale[j]). With
-    check_ratio, Gamma = Psi_1^{-1} Psi_2 is compared against solve_riccati
-    at RATIO_CHECK_TIMES sample nodes and a relative disagreement beyond
-    RATIO_CHECK_TOL raises ResidualTooLarge.
+    and the true matrices are psi_i[j] * exp(log_scale[j]). The ratio check
+    against the Riccati route is made by k_T_via_liouville.
     """
     stop = _stop_index(qv, horizon)
     times = qv.grid.nodes[: stop + 1]
@@ -263,7 +280,7 @@ def solve_linearized(
             psi1[j + 1], psi2[j + 1] = y[0], y[1]
             log_scale[j + 1] = scale
 
-    run = RiccatiRun(
+    return RiccatiRun(
         hurst=qv.hurst,
         grid=qv.grid,
         times=times,
@@ -273,13 +290,14 @@ def solve_linearized(
         psi2=psi2,
         log_scale=log_scale,
     )
-    if check_ratio:
-        _ratio_check(run, solve_riccati(theta, mu, qv, horizon))
-    return run
 
 
 def _ratio_check(lin: RiccatiRun, ric: RiccatiRun) -> None:
+    """Gamma = Psi_1^{-1} Psi_2 against the Riccati run at RATIO_CHECK_TIMES
+    nodes; a relative disagreement beyond RATIO_CHECK_TOL raises ResidualTooLarge."""
     stop = len(lin.times) - 1
+    if (ric.theta, ric.mu, ric.grid) != (lin.theta, lin.mu, lin.grid) or len(ric.times) <= stop:
+        raise ValueError("the Riccati run must share theta, mu and the grid, and reach the horizon")
     samples = np.unique(np.linspace(1, stop, RATIO_CHECK_TIMES).astype(int))
     worst = 0.0
     for j in samples:
@@ -291,16 +309,27 @@ def _ratio_check(lin: RiccatiRun, ric: RiccatiRun) -> None:
         raise ResidualTooLarge(worst, RATIO_CHECK_TOL, "linearized/Riccati ratio mismatch")
 
 
-def k_T_via_liouville(theta: float, mu: float, qv: QVTable, horizon: float | None = None) -> float:
+def k_T_via_liouville(
+    theta: float,
+    mu: float,
+    qv: QVTable,
+    horizon: float | None = None,
+    *,
+    riccati_run: RiccatiRun | None = None,
+) -> float:
     """K_T from log det Psi_1(T), the determinant route.
 
     K_T = -(1/2T) log det Psi_1(T) + theta (T - dt)/(2T) - mu dt^2/(2T);
     the last two terms restore the [0, dt] start-up contributions (the flow
     determinant grows like e^{theta t} there and the trace integrand is 4t).
+    The linearized pair must reproduce Gamma of the Riccati route (see
+    _ratio_check): riccati_run is a caller's solve_riccati run on the same
+    theta, mu and grid reaching the horizon, or None to solve one here.
     """
     if mu == 0.0:
         return 0.0
     run = solve_linearized(theta, mu, qv, horizon)
+    _ratio_check(run, riccati_run if riccati_run is not None else solve_riccati(theta, mu, qv, horizon))
     t_end = float(run.times[-1])
     delta = float(run.times[1])
     det = float(np.linalg.det(run.psi1[-1]))

@@ -95,12 +95,17 @@ def test_state_follows_euler_recursion():
 
 
 @pytest.mark.parametrize(
-    "hurst, fallback", [(0.7, False), (1.0, False), (0.7, True)], ids=["0.7", "1.0", "0.7-fallback"]
+    "hurst, fallback, fft_rows",
+    [(0.7, False, None), (1.0, False, None), (0.7, True, None), (0.7, False, 2)],
+    ids=["0.7", "1.0", "0.7-fallback", "0.7-fft-blocks"],
 )
-def test_batch_rows_equal_single_paths(hurst, fallback, monkeypatch):
+def test_batch_rows_equal_single_paths(hurst, fallback, fft_rows, monkeypatch):
     if fallback:
         # reject the circulant embedding: both paths take the Cholesky branch
         monkeypatch.setattr(paths, "_embedding_eigenvalues", lambda *args: None)
+    if fft_rows is not None:
+        # the three rows span two FFT blocks, the second one partial
+        monkeypatch.setattr(paths, "_FFT_ROWS", fft_rows)
     spec = _spec(hurst, cells=32)
     base = RandomStream(77)
     rep_ids = [9, 0, 3]

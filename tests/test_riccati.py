@@ -3,15 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from mfou.errors import BlowUp, ComplexEigenvalues
+from mfou import experiments, riccati
+from mfou.errors import BlowUp, ComplexEigenvalues, NonPositiveDet, StepNotConverged
+from mfou.experiments import ExperimentConfig, run_cgf_convergence
+from mfou.numerics import TimeGrid
 from mfou.riccati import (
+    MAX_HALVINGS,
     TRACE_BOUND_CONST,
     eigen_split,
     k_T_via_liouville,
     k_T_via_riccati,
+    solve_linearized,
     solve_M_equation,
     solve_riccati,
 )
+from mfou.transform import build_kernel, quadratic_variation
 
 
 def cameron_martin_k(theta, mu, horizon):
@@ -31,7 +37,75 @@ def test_riccati_h_half_closed_form(qv_half):
 
 def test_two_routes_agree(qv_07):
     run = solve_riccati(1.0, 0.5, qv_07)
-    assert k_T_via_riccati(run) == pytest.approx(k_T_via_liouville(1.0, 0.5, qv_07), abs=1e-4)
+    k_lio = k_T_via_liouville(1.0, 0.5, qv_07)
+    assert k_T_via_riccati(run) == pytest.approx(k_lio, abs=1e-4)
+    # the ratio check reuses a caller's Riccati run, which must match theta, mu and grid
+    assert k_T_via_liouville(1.0, 0.5, qv_07, riccati_run=run) == k_lio
+    with pytest.raises(ValueError):
+        k_T_via_liouville(1.0, 0.5, qv_07, riccati_run=solve_riccati(1.0, 0.25, qv_07))
+    with pytest.raises(ValueError):
+        k_T_via_liouville(1.0, 0.5, qv_07, riccati_run=solve_riccati(1.0, 0.5, qv_07, horizon=1.0))
+
+
+@pytest.fixture(scope="module")
+def qv_long():
+    return quadratic_variation(build_kernel(0.7, TimeGrid(20.0, 512)))
+
+
+def test_linear_routes_converge_at_long_horizon(qv_long):
+    # states grow to RESCALE_MAGNITUDE here; an absolute local-error test
+    # capped hundreds of these intervals, the relative one caps none
+    lin = solve_linearized(1.0, 1.0, qv_long)
+    assert lin.log_scale[-1] > 0.0
+    assert np.all(np.isfinite(lin.psi1)) and np.all(np.isfinite(lin.psi2))
+    m_run = solve_M_equation(eigen_split(1.0, 1.0)[0], qv_long)
+    assert m_run.log_scale[-1] > 0.0
+    assert m_run.trace_bound_max <= 1.0
+
+
+def test_capped_interval_raises(qv_07, monkeypatch):
+    monkeypatch.setattr(riccati, "LOCAL_ERROR", 1e-30)  # below rounding: no interval converges
+    with pytest.raises(StepNotConverged) as err:
+        solve_M_equation(eigen_split(1.0, 0.5)[0], qv_07)
+    assert err.value.time == 0.0
+    assert err.value.halvings == MAX_HALVINGS
+    assert err.value.change > err.value.bound
+    with pytest.raises(StepNotConverged):
+        solve_riccati(1.0, 0.5, qv_07)
+    # outside mu > -theta^2/2 the unresolved interval is the finite-time blow-up
+    with pytest.raises(BlowUp) as err:
+        solve_riccati(1.0, -2.0, qv_07)
+    assert isinstance(err.value.__cause__, StepNotConverged)
+
+
+def test_liouville_pinned_values():
+    # H = 0.7, T = 5, 128 cells (the 25.6 cells-per-unit lattice): values of
+    # the absolute local-error test, which resolved every interval at least
+    # as finely; the relative test must reproduce them within 1e-8
+    qv = quadratic_variation(build_kernel(0.7, TimeGrid(5.0, 128)))
+    pinned = {0.25: -0.1032459431126963, 0.5: -0.19205318824121265, 1.0: -0.34338179287780124}
+    for mu, value in pinned.items():
+        assert abs(k_T_via_liouville(1.0, mu, qv) - value) <= 1e-8
+
+
+def test_cgf_cell_keeps_routes_when_liouville_fails(monkeypatch):
+    def failing_liouville(*args, **kwargs):
+        raise NonPositiveDet("det Psi1(T) = -1.000e+00")
+
+    monkeypatch.setattr(experiments, "k_T_via_liouville", failing_liouville)
+    config = ExperimentConfig(
+        hurst=(0.5,), horizons=(2.0,), cells=None, cells_per_unit=16.0, reps=200, mu_grid=(0.25,)
+    )
+    report = run_cgf_convergence(config)
+    row = dict(zip(report.columns, report.rows[0]))
+    assert math.isfinite(row["k_riccati"]) and math.isfinite(row["k_mc"])
+    assert math.isnan(row["k_liouville"])
+    assert row["blowup"] is True
+    (cell,) = report.manifest["cells"]
+    assert cell["liouville_error"] == "NonPositiveDet: det Psi1(T) = -1.000e+00"
+    assert cell["riccati_error"] == "" and cell["mc_error"] == ""
+    assert cell["blowup"] is True
+    assert not report.passed
 
 
 def test_mu_zero_short_circuits(qv_07):
