@@ -8,6 +8,9 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
+# master seed of the CLI and of ExperimentConfig when none is given
+DEFAULT_SEED = 20260814
+
 _SUBMODULES = (
     "cli",
     "errors",

@@ -17,6 +17,7 @@ import math
 import os
 import sys
 
+from . import DEFAULT_SEED
 from .errors import ConfigError, MfouError, NumericalError
 
 EXIT_OK = 0
@@ -32,8 +33,6 @@ _BLAS_VARS = (
     "MKL_NUM_THREADS",
     "NUMEXPR_NUM_THREADS",
 )
-
-_DEFAULT_SEED = 20260814
 
 
 class UsageError(Exception):
@@ -142,7 +141,7 @@ KEYS = {
         "theta": _Key(_parse_positive, "1.0", "drift parameter, positive"),
         "T": _Key(_parse_positive, "10.0", "horizon, positive"),
         "cells": _Key(_parse_int_min(2), "512", "lattice cells, at least 2"),
-        "seed": _Key(_parse_int_min(0), str(_DEFAULT_SEED), "master seed, nonnegative"),
+        "seed": _Key(_parse_int_min(0), str(DEFAULT_SEED), "master seed, nonnegative"),
         "rep": _Key(_parse_int_min(0), "0", "replication index, nonnegative"),
         "out": _Key(_parse_str, "paths.csv", "output file name"),
     },
@@ -158,7 +157,7 @@ KEYS = {
         "theta": _Key(_parse_positive, "1.0", "drift parameter, positive"),
         "T": _Key(_parse_positive, "10.0", "horizon, positive"),
         "cells": _Key(_parse_int_min(2), "512", "lattice cells, at least 2"),
-        "seed": _Key(_parse_int_min(0), str(_DEFAULT_SEED), "master seed, nonnegative"),
+        "seed": _Key(_parse_int_min(0), str(DEFAULT_SEED), "master seed, nonnegative"),
         "reps": _Key(_parse_int_min(1), "100", "replications, at least 1"),
         "out": _Key(_parse_str, "estimates.csv", "output file name"),
     },
@@ -167,7 +166,7 @@ KEYS = {
         "theta": _Key(_parse_positive, "1.0", "drift parameter, positive"),
         "T": _Key(_parse_positive, "5.0", "horizon, positive"),
         "cells": _Key(_parse_int_min(2), "512", "lattice cells, at least 2"),
-        "seed": _Key(_parse_int_min(0), str(_DEFAULT_SEED), "master seed, nonnegative"),
+        "seed": _Key(_parse_int_min(0), str(DEFAULT_SEED), "master seed, nonnegative"),
         "reps": _Key(_parse_int_min(1), "10000", "Monte Carlo replications"),
         "mu": _Key(_parse_float_list, "0.25,0.5,1.0", "mu lattice (comma separated)"),
         "a": _Key(_parse_float_list, "0.0", "a lattice for the analytic method"),
@@ -186,7 +185,7 @@ KEYS = {
         "cells": _Key(_parse_int_min(2), None, "lattice cells, fixed across horizons (exclusive with cells_per_unit)"),
         "cells_per_unit": _Key(_parse_positive, None, "lattice cells per unit horizon (exclusive with cells)"),
         "reps": _Key(_parse_int_min(1), "2000", "replications per cell"),
-        "seed": _Key(_parse_int_min(0), str(_DEFAULT_SEED), "master seed, nonnegative"),
+        "seed": _Key(_parse_int_min(0), str(DEFAULT_SEED), "master seed, nonnegative"),
         "mu": _Key(_parse_float_list, "0.0,0.25,0.5,1.0", "mu lattice (cgf study)"),
         "x": _Key(_parse_float_list, "", "x grid for rate-function tables"),
         "tails": _Key(_parse_tails, "1.5..inf", "tail intervals lo..hi (comma separated)"),
@@ -538,6 +537,10 @@ def _cmd_experiment(args, typed, budget) -> int:
     written = write_outputs(report, args.out)
     if args.verbose:
         _print_diagnostics(f"{report.name} kernels", report.manifest["diagnostics"])
+        if report.name == "cgf":
+            estimates = [c["liouville_error_estimate"] for c in report.manifest["cells"]]
+            worst = max((e for e in estimates if math.isfinite(e)), default=math.nan)
+            _print_diagnostics("cgf determinant route", {"worst_error_estimate": worst})
     for path in written:
         print(path)
     print(f"{report.name}: pass={'true' if report.passed else 'false'}")

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 from scipy.stats import beta as _beta
 
-from . import __version__
+from . import DEFAULT_SEED, __version__
 from .errors import ConfigError, ExperimentInvalid, NumericalError
 from .inference import DEGENERATE_DENOMINATOR, path_statistics_batch
 from .ldp import (
@@ -43,7 +43,6 @@ from .paths import ProcessSpec, sample_state_batch
 from .riccati import k_T_via_liouville, k_T_via_riccati, solve_riccati
 from .transform import build_kernel, quadratic_variation
 
-DEFAULT_SEED = 20260814
 
 # statistical gates; the variance band is relative to the target 2*theta
 VAR_BAND = (0.8, 1.2)
@@ -695,16 +694,15 @@ def run_cgf_convergence(config: ExperimentConfig) -> ExperimentReport:
             for m_idx, mu in enumerate(config.mu_grid):
                 lim = k_limit(mu, config.theta) + 0.0
                 errors = {"riccati": "", "liouville": "", "mc": ""}
-                k_ric = k_lio = k_mc = mc_se = math.nan
+                k_ric = k_lio = lio_estimate = k_mc = mc_se = math.nan
                 unreliable = False
-                run = None
                 try:
-                    run = solve_riccati(config.theta, mu, qv)
-                    k_ric = k_T_via_riccati(run)
+                    k_ric = k_T_via_riccati(solve_riccati(config.theta, mu, qv))
                 except NumericalError as exc:
                     errors["riccati"] = f"{type(exc).__name__}: {exc}"
                 try:
-                    k_lio = k_T_via_liouville(config.theta, mu, qv, riccati_run=run)
+                    route = k_T_via_liouville(config.theta, mu, qv)
+                    k_lio, lio_estimate = float(route), route.error
                 except NumericalError as exc:
                     errors["liouville"] = f"{type(exc).__name__}: {exc}"
                 stream = RandomStream(
@@ -748,7 +746,8 @@ def run_cgf_convergence(config: ExperimentConfig) -> ExperimentReport:
                         "k_mc": k_mc,
                         "mc_stderr": mc_se,
                         "k_limit": lim,
-                        **{f"{route}_error": err for route, err in errors.items()},
+                        **{f"{name}_error": err for name, err in errors.items()},
+                        "liouville_error_estimate": lio_estimate,
                         "blowup": blowup,
                     }
                 )

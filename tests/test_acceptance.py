@@ -180,7 +180,7 @@ def test_c05_three_route_cgf(kernel_512):
     for m_idx, mu in enumerate((0.25, 0.5, 1.0)):
         run = solve_riccati(1.0, mu, qv)
         k_ric = k_T_via_riccati(run)
-        k_lio = k_T_via_liouville(1.0, mu, qv, riccati_run=run)
+        k_lio = k_T_via_liouville(1.0, mu, qv)
         est = empirical_cgf(
             0.0, -mu, spec, kern, qv, 10000, RandomStream(DEFAULT_SEED, (3, 0, 0, m_idx))
         )

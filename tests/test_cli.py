@@ -152,6 +152,18 @@ def test_verbose_reports_kernel_health(tmp_path, capsys):
     assert "max_residual=" in err and "min_pivot=" in err
 
 
+def test_verbose_reports_worst_route_estimate(tmp_path, capsys):
+    args = ["experiment", "--set", "kind=cgf", "--set", "T=2.0", "--set", "cells=32",
+            "--set", "mu=0.25,1.0", "--set", "reps=64", "-v", "--out", str(tmp_path)]
+    assert main(args) == EXIT_OK
+    err = capsys.readouterr().err
+    manifest = json.loads((tmp_path / "cgf_manifest.json").read_text())
+    worst = max(cell["liouville_error_estimate"] for cell in manifest["cells"])
+    assert f"cgf determinant route: worst_error_estimate={worst!r}" in err
+    header = (tmp_path / "cgf.csv").read_text().split("\n")[0]
+    assert "estimate" not in header
+
+
 def test_cgf_analytic_value(tmp_path):
     code = main(
         [

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from mfou import experiments, riccati
-from mfou.errors import BlowUp, ComplexEigenvalues, NonPositiveDet, StepNotConverged
+from mfou.errors import (
+    BlowUp,
+    ComplexEigenvalues,
+    MfouError,
+    NonPositiveDet,
+    ResidualTooLarge,
+    StepNotConverged,
+)
 from mfou.experiments import ExperimentConfig, run_cgf_convergence
 from mfou.numerics import TimeGrid
 from mfou.riccati import (
@@ -13,7 +20,6 @@ from mfou.riccati import (
     eigen_split,
     k_T_via_liouville,
     k_T_via_riccati,
-    solve_linearized,
     solve_M_equation,
     solve_riccati,
 )
@@ -39,39 +45,70 @@ def test_two_routes_agree(qv_07):
     run = solve_riccati(1.0, 0.5, qv_07)
     k_lio = k_T_via_liouville(1.0, 0.5, qv_07)
     assert k_T_via_riccati(run) == pytest.approx(k_lio, abs=1e-4)
-    # the ratio check reuses a caller's Riccati run, which must match theta, mu and grid
-    assert k_T_via_liouville(1.0, 0.5, qv_07, riccati_run=run) == k_lio
-    with pytest.raises(ValueError):
-        k_T_via_liouville(1.0, 0.5, qv_07, riccati_run=solve_riccati(1.0, 0.25, qv_07))
-    with pytest.raises(ValueError):
-        k_T_via_liouville(1.0, 0.5, qv_07, riccati_run=solve_riccati(1.0, 0.5, qv_07, horizon=1.0))
+    assert 0.0 < k_lio.error <= riccati.LIOUVILLE_ERROR_BOUND
 
 
-@pytest.fixture(scope="module")
-def qv_long():
-    return quadratic_variation(build_kernel(0.7, TimeGrid(20.0, 512)))
+def test_liouville_h_half_closed_form(qv_half):
+    # psi is constant, so every Magnus step is exact
+    for mu in (0.25, 0.5, 1.0):
+        assert abs(k_T_via_liouville(1.0, mu, qv_half) - cameron_martin_k(1.0, mu, 5.0)) <= 1e-12
 
 
-def test_linear_routes_converge_at_long_horizon(qv_long):
-    # states grow to RESCALE_MAGNITUDE here; an absolute local-error test
-    # capped hundreds of these intervals, the relative one caps none
-    lin = solve_linearized(1.0, 1.0, qv_long)
-    assert lin.log_scale[-1] > 0.0
-    assert np.all(np.isfinite(lin.psi1)) and np.all(np.isfinite(lin.psi2))
-    m_run = solve_M_equation(eigen_split(1.0, 1.0)[0], qv_long)
-    assert m_run.log_scale[-1] > 0.0
-    assert m_run.trace_bound_max <= 1.0
+def test_liouville_long_horizon_cell():
+    # T = 20, where the columns of the linearized pair separate like e^{4 lam T}
+    config = ExperimentConfig(
+        hurst=(0.7,), horizons=(20.0,), cells=None, cells_per_unit=25.6, reps=64, mu_grid=(1.0,)
+    )
+    report = run_cgf_convergence(config)
+    row = dict(zip(report.columns, report.rows[0]))
+    (cell,) = report.manifest["cells"]
+    assert math.isfinite(row["k_liouville"])
+    assert cell["liouville_error"] == ""
+    assert 0.0 < cell["liouville_error_estimate"] <= riccati.LIOUVILLE_ERROR_BOUND
+    assert row["blowup"] is False
+    assert abs(row["k_liouville"] - row["k_riccati"]) <= 1e-4
+
+
+def test_liouville_error_bound_raises(qv_07, monkeypatch):
+    monkeypatch.setattr(riccati, "LIOUVILLE_ERROR_BOUND", 1e-18)  # below rounding
+    with pytest.raises(ResidualTooLarge) as err:
+        k_T_via_liouville(1.0, 0.5, qv_07)
+    assert err.value.residual > err.value.bound
+
+
+def test_liouville_near_domain_edge():
+    # mu = -theta^2/2 makes lam = 0, where the split of Psi_1 degenerates
+    qv = quadratic_variation(build_kernel(0.7, TimeGrid(5.0, 128)))
+    try:
+        value = k_T_via_liouville(1.0, -0.5, qv)
+    except MfouError:
+        pass
+    else:
+        assert math.isfinite(value)
+    lam = 1e-5
+    mu = 2.0 * (lam * lam - 0.25)
+    gap = abs(k_T_via_liouville(1.0, mu, qv) - k_T_via_riccati(solve_riccati(1.0, mu, qv)))
+    assert gap <= 1e-4
+
+
+def test_linear_routes_converge_at_long_horizon():
+    # coarse lattices and large tilts: the true M grows like e^{4 lam T} = e^{120}
+    # at mu = 4, and the interval exponentials are far from the identity
+    for cells, mu in ((256, 2.0), (128, 4.0)):
+        qv = quadratic_variation(build_kernel(0.7, TimeGrid(20.0, cells)))
+        run = solve_M_equation(eigen_split(1.0, mu)[0], qv)
+        assert run.log_scale[-1] > 0.0
+        assert np.all(np.isfinite(run.m_traj))
+        assert run.trace_bound_max <= 1.0
 
 
 def test_capped_interval_raises(qv_07, monkeypatch):
     monkeypatch.setattr(riccati, "LOCAL_ERROR", 1e-30)  # below rounding: no interval converges
     with pytest.raises(StepNotConverged) as err:
-        solve_M_equation(eigen_split(1.0, 0.5)[0], qv_07)
+        solve_riccati(1.0, 0.5, qv_07)
     assert err.value.time == 0.0
     assert err.value.halvings == MAX_HALVINGS
     assert err.value.change > err.value.bound
-    with pytest.raises(StepNotConverged):
-        solve_riccati(1.0, 0.5, qv_07)
     # outside mu > -theta^2/2 the unresolved interval is the finite-time blow-up
     with pytest.raises(BlowUp) as err:
         solve_riccati(1.0, -2.0, qv_07)
@@ -79,13 +116,15 @@ def test_capped_interval_raises(qv_07, monkeypatch):
 
 
 def test_liouville_pinned_values():
-    # H = 0.7, T = 5, 128 cells (the 25.6 cells-per-unit lattice): values of
-    # the absolute local-error test, which resolved every interval at least
-    # as finely; the relative test must reproduce them within 1e-8
+    # H = 0.7, T = 5, 128 cells (the 25.6 cells-per-unit lattice): K_T from
+    # 8 Gauss-4 Magnus steps per interval, within 2e-13 of 16 steps; the
+    # one-step route is 5e-10 to 8e-10 off, and its estimate must say so
     qv = quadratic_variation(build_kernel(0.7, TimeGrid(5.0, 128)))
-    pinned = {0.25: -0.1032459431126963, 0.5: -0.19205318824121265, 1.0: -0.34338179287780124}
+    pinned = {0.25: -0.10322302838838127, 0.5: -0.19200960844409068, 1.0: -0.34330123853511063}
     for mu, value in pinned.items():
-        assert abs(k_T_via_liouville(1.0, mu, qv) - value) <= 1e-8
+        got = k_T_via_liouville(1.0, mu, qv)
+        assert abs(got - value) <= 1e-8
+        assert 0.5 <= got.error / abs(got - value) <= 2.0
 
 
 def test_cgf_cell_keeps_routes_when_liouville_fails(monkeypatch):
@@ -104,6 +143,7 @@ def test_cgf_cell_keeps_routes_when_liouville_fails(monkeypatch):
     (cell,) = report.manifest["cells"]
     assert cell["liouville_error"] == "NonPositiveDet: det Psi1(T) = -1.000e+00"
     assert cell["riccati_error"] == "" and cell["mc_error"] == ""
+    assert math.isnan(cell["liouville_error_estimate"])
     assert cell["blowup"] is True
     assert not report.passed
 
@@ -128,6 +168,9 @@ def test_run_metadata(qv_07):
     assert run.times[0] == 0.0
     assert run.times[-1] == qv_07.grid.horizon
     assert np.all(np.isfinite(run.gamma))
+    r = np.array([[[p, 1.0], [1.0, 1.0 / p]] for p in qv_07.psi_diag])
+    reference = np.trace(run.gamma @ r, axis1=1, axis2=2)
+    assert np.allclose(run.trace_gamma_r, reference, rtol=1e-14, atol=1e-15)
 
 
 def test_blowup_guard(qv_07):
@@ -153,8 +196,10 @@ def test_m_equation_split_identity(qv_07):
     run = solve_M_equation(lam, qv_07)
     assert np.array_equal(run.m_traj[0], -np.eye(2))
     j = qv_07.grid.cells // 2
+    # stored matrices carry the common factor e^{-log_scale}, which the ratio drops
     recon = np.linalg.solve(run.upsilon2[j], run.upsilon1[j])
-    assert np.max(np.abs(run.m_traj[j] - recon)) < 1e-6
+    assert np.max(np.abs(run.m_traj[j] * math.exp(run.log_scale[j]) - recon)) < 1e-6
+    assert np.allclose(run.log_scale, 4.0 * lam * run.times, rtol=1e-15, atol=0.0)
     assert run.trace_bound_ratios.shape == run.times.shape
     assert np.all(np.isfinite(run.trace_bound_ratios))
     assert run.trace_bound_max == np.max(run.trace_bound_ratios)
@@ -169,18 +214,36 @@ def test_m_equation_lam_zero_is_frozen(qv_07):
 
 
 def test_m_equation_h_half_closed_form(qv_half):
-    # psi = 2 makes A^2 = 2A, so tr M(t) = -(1 + e^{4 lam t}) exactly; mu = 2
-    # grows M past RESCALE_MAGNITUDE, so the comparison runs through log_scale
+    # psi = 2 is constant, so tr M(t) = -(1 + e^{4 lam t}) and every Magnus
+    # step is exact; mu = 2 grows M to e^{30}, so the comparison runs through log_scale
     lam, _, _ = eigen_split(1.0, 2.0)
     run = solve_M_equation(lam, qv_half)
     assert run.log_scale[-1] > 0.0
     trace = np.trace(run.m_traj, axis1=1, axis2=2)
     assert np.all(trace < 0.0)
     log_exact = np.log1p(np.exp(4.0 * lam * run.times))
-    assert np.max(np.abs(np.log(-trace) + run.log_scale - log_exact)) < 1e-6
+    assert np.max(np.abs(np.log(-trace) + run.log_scale - log_exact)) < 1e-12
     expected = 0.5 * (1.0 + np.exp(-4.0 * lam * run.times))
-    assert np.allclose(run.trace_bound_ratios, expected, rtol=1e-6, atol=0.0)
+    assert np.allclose(run.trace_bound_ratios, expected, rtol=1e-12, atol=0.0)
     assert run.trace_bound_max == 1.0  # attained at t = 0
+
+
+def test_magnus_factors_match_expm():
+    # the Cayley-Hamilton exponentials against scipy's expm of the Gauss-4 Magnus Omega
+    from scipy.linalg import expm
+
+    lam, h = 0.8, 0.3
+    psi = np.array([0.7, 1.9, 1.2])
+    f_left, f_right, f_minus = riccati._magnus_factors(lam, psi, 1, h)
+    for j in range(2):
+        p1, p2 = psi[j] + (psi[j + 1] - psi[j]) * np.array(riccati._GAUSS)
+        a1, a2 = (np.array([[1.0, 1.0 / p], [p, 1.0]]) for p in (p1, p2))
+        comm = (math.sqrt(3.0) / 12.0) * h * h * (a2 @ a1 - a1 @ a2)
+        for sign, got in ((1.0, f_left), (-1.0, f_right)):
+            omega = 0.5 * lam * h * (a1 + a2) + sign * lam * lam * comm
+            assert np.allclose(math.exp(-lam * h) * expm(omega), got[j], rtol=1e-13, atol=1e-14)
+        omega = -0.5 * lam * h * (a1 + a2) - lam * lam * comm
+        assert np.allclose(math.exp(lam * h) * expm(omega), f_minus[j], rtol=1e-13, atol=1e-14)
 
 
 def test_trace_bound_constant():
