@@ -44,6 +44,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _parse_finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text}")
+    return value
+
+
 def _parse_hurst(text: str) -> float:
     value = float(text)
     if not 0.0 < value <= 1.0:
@@ -51,19 +58,12 @@ def _parse_hurst(text: str) -> float:
     return value
 
 
-def _parse_hurst_list(text: str) -> tuple:
-    return tuple(_parse_hurst(part) for part in _split(text))
-
-
 def _parse_positive(text: str) -> float:
-    value = float(text)
+    value = _parse_finite(text)
     if not value > 0.0:
         raise ConfigError(f"expected a positive number, got {text}")
     return value
 
-
-def _parse_float(text: str) -> float:
-    return float(text)
 
 def _parse_int_min(minimum: int):
     def parse(text: str) -> int:
@@ -89,19 +89,15 @@ def _split(text: str) -> list:
     return [p for p in parts if p]
 
 
-def _parse_float_list(text: str) -> tuple:
-    return tuple(float(p) for p in _split(text))
+def _list_of(parse):
+    def parse_list(text: str) -> tuple:
+        return tuple(parse(part) for part in _split(text))
 
-
-def _parse_positive_list(text: str) -> tuple:
-    values = tuple(float(p) for p in _split(text))
-    for v in values:
-        if not v > 0.0:
-            raise ConfigError(f"expected positive numbers, got {text}")
-    return values
+    return parse_list
 
 
 def _parse_tails(text: str) -> tuple:
+    # tail ends are the one place where an infinite value is meaningful
     tails = []
     for part in _split(text):
         if ".." not in part:
@@ -112,10 +108,6 @@ def _parse_tails(text: str) -> tuple:
             raise ConfigError(f"tail interval ({lo}, {hi}) is empty")
         tails.append((lo, hi))
     return tuple(tails)
-
-
-def _parse_str(text: str) -> str:
-    return text
 
 
 _KIND_CHOICES = ("normality", "tails", "cgf", "h-invariance")
@@ -134,60 +126,67 @@ class _Key:
         self.doc = doc
 
 
+# keys that several sections share verbatim
+_HURST = _Key(_parse_hurst, "0.7", "Hurst index, in (0, 1]")
+_THETA = _Key(_parse_positive, "1.0", "drift parameter, positive")
+_HORIZON = _Key(_parse_positive, "10.0", "horizon, positive")
+_CELLS = _Key(_parse_int_min(2), "512", "lattice cells, at least 2")
+_SEED = _Key(_parse_int_min(0), str(DEFAULT_SEED), "master seed, nonnegative")
+
 # every config key, with its default and constraint (surfaced in --help)
 KEYS = {
     "simulate": {
-        "H": _Key(_parse_hurst, "0.7", "Hurst index, in (0, 1]"),
-        "theta": _Key(_parse_positive, "1.0", "drift parameter, positive"),
-        "T": _Key(_parse_positive, "10.0", "horizon, positive"),
-        "cells": _Key(_parse_int_min(2), "512", "lattice cells, at least 2"),
-        "seed": _Key(_parse_int_min(0), str(DEFAULT_SEED), "master seed, nonnegative"),
+        "H": _HURST,
+        "theta": _THETA,
+        "T": _HORIZON,
+        "cells": _CELLS,
+        "seed": _SEED,
         "rep": _Key(_parse_int_min(0), "0", "replication index, nonnegative"),
-        "out": _Key(_parse_str, "paths.csv", "output file name"),
+        "out": _Key(str, "paths.csv", "output file name"),
     },
     "kernel": {
-        "H": _Key(_parse_hurst, "0.7", "Hurst index, in (0, 1]"),
-        "T": _Key(_parse_positive, "10.0", "horizon, positive"),
-        "cells": _Key(_parse_int_min(2), "512", "lattice cells, at least 2"),
+        "H": _HURST,
+        "T": _HORIZON,
+        "cells": _CELLS,
         "matrix": _Key(_parse_bool, "false", "also dump the full kernel table"),
-        "out": _Key(_parse_str, "kernel.csv", "output file name"),
+        "out": _Key(str, "kernel.csv", "output file name"),
     },
     "estimate": {
-        "H": _Key(_parse_hurst, "0.7", "Hurst index, in (0, 1]"),
-        "theta": _Key(_parse_positive, "1.0", "drift parameter, positive"),
-        "T": _Key(_parse_positive, "10.0", "horizon, positive"),
-        "cells": _Key(_parse_int_min(2), "512", "lattice cells, at least 2"),
-        "seed": _Key(_parse_int_min(0), str(DEFAULT_SEED), "master seed, nonnegative"),
+        "H": _HURST,
+        "theta": _THETA,
+        "T": _HORIZON,
+        "cells": _CELLS,
+        "seed": _SEED,
         "reps": _Key(_parse_int_min(1), "100", "replications, at least 1"),
-        "out": _Key(_parse_str, "estimates.csv", "output file name"),
+        "out": _Key(str, "estimates.csv", "output file name"),
     },
     "cgf": {
-        "H": _Key(_parse_hurst, "0.7", "Hurst index, in (0, 1]"),
-        "theta": _Key(_parse_positive, "1.0", "drift parameter, positive"),
+        "H": _HURST,
+        "theta": _THETA,
         "T": _Key(_parse_positive, "5.0", "horizon, positive"),
-        "cells": _Key(_parse_int_min(2), "512", "lattice cells, at least 2"),
-        "seed": _Key(_parse_int_min(0), str(DEFAULT_SEED), "master seed, nonnegative"),
+        "cells": _CELLS,
+        "seed": _SEED,
         "reps": _Key(_parse_int_min(1), "10000", "Monte Carlo replications"),
-        "mu": _Key(_parse_float_list, "0.25,0.5,1.0", "mu lattice (comma separated)"),
-        "a": _Key(_parse_float_list, "0.0", "a lattice for the analytic method"),
-        "b": _Key(_parse_float_list, "", "b lattice for the analytic method"),
-        "out": _Key(_parse_str, "cgf.csv", "output file name"),
+        "mu": _Key(_list_of(_parse_finite), "0.25,0.5,1.0", "mu lattice (comma separated)"),
+        "a": _Key(_list_of(_parse_finite), "0.0", "a lattice for the analytic method"),
+        "b": _Key(_list_of(_parse_finite), "", "b lattice for the analytic method"),
+        "out": _Key(str, "cgf.csv", "output file name"),
     },
     "rate": {
-        "theta": _Key(_parse_positive, "1.0", "drift parameter, positive"),
-        "x": _Key(_parse_float, None, "rate-function argument (required)"),
+        "theta": _THETA,
+        "x": _Key(_parse_finite, None, "rate-function argument (required)"),
     },
     "experiment": {
         "kind": _Key(_parse_kind, None, "one of " + ", ".join(_KIND_CHOICES) + " (required)"),
-        "theta": _Key(_parse_positive, "1.0", "drift parameter, positive"),
-        "H": _Key(_parse_hurst_list, "0.7", "Hurst indices, each in (0, 1]"),
-        "T": _Key(_parse_positive_list, "20.0", "horizons, positive ascending"),
+        "theta": _THETA,
+        "H": _Key(_list_of(_parse_hurst), "0.7", "Hurst indices, each in (0, 1]"),
+        "T": _Key(_list_of(_parse_positive), "20.0", "horizons, positive ascending"),
         "cells": _Key(_parse_int_min(2), None, "lattice cells, fixed across horizons (exclusive with cells_per_unit)"),
         "cells_per_unit": _Key(_parse_positive, None, "lattice cells per unit horizon (exclusive with cells)"),
         "reps": _Key(_parse_int_min(1), "2000", "replications per cell"),
-        "seed": _Key(_parse_int_min(0), str(DEFAULT_SEED), "master seed, nonnegative"),
-        "mu": _Key(_parse_float_list, "0.0,0.25,0.5,1.0", "mu lattice (cgf study)"),
-        "x": _Key(_parse_float_list, "", "x grid for rate-function tables"),
+        "seed": _SEED,
+        "mu": _Key(_list_of(_parse_finite), "0.0,0.25,0.5,1.0", "mu lattice (cgf study)"),
+        "x": _Key(_list_of(_parse_finite), "", "x grid for rate-function tables"),
         "tails": _Key(_parse_tails, "1.5..inf", "tail intervals lo..hi (comma separated)"),
         "tilt": _Key(_parse_positive, None, "importance-sampling drift, positive"),
     },
@@ -333,6 +332,11 @@ def _fmt(value) -> str:
 
 
 def _json_safe(obj):
+    """JSON-ready copy; the one encoder of every manifest and config hash.
+
+    Tuples become lists, numpy scalars Python ones, and non-finite floats the
+    strings "nan", "inf" and "-inf".
+    """
     if isinstance(obj, dict):
         return {key: _json_safe(val) for key, val in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -350,20 +354,26 @@ def _json_safe(obj):
     return obj
 
 
+def _write_csv(outdir: str, name: str, columns, rows) -> str:
+    """Stream one CSV: the header, then one line of `_fmt` values per row (LF, UTF-8)."""
+    os.makedirs(outdir, exist_ok=True)
+    path = os.path.join(outdir, name)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(",".join(columns) + "\n")
+        for row in rows:
+            handle.write(",".join(map(_fmt, row)) + "\n")
+    return path
+
+
 def write_outputs(report, outdir: str) -> list:
-    """Persist a report: one CSV (17 significant digits, LF, UTF-8) + manifest.
+    """Persist a report: one CSV (`_write_csv`) + its manifest (`_json_safe`).
 
     A report with no rows writes the manifest only.
     """
     os.makedirs(outdir, exist_ok=True)
     written = []
     if report.rows:
-        csv_path = os.path.join(outdir, f"{report.name}.csv")
-        with open(csv_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(",".join(report.columns) + "\n")
-            for row in report.rows:
-                handle.write(",".join(_fmt(value) for value in row) + "\n")
-        written.append(csv_path)
+        written.append(_write_csv(outdir, f"{report.name}.csv", report.columns, report.rows))
     manifest_path = os.path.join(outdir, f"{report.name}_manifest.json")
     with open(manifest_path, "w", encoding="utf-8", newline="") as handle:
         json.dump(_json_safe(report.manifest), handle, indent=2, sort_keys=True)
@@ -374,17 +384,14 @@ def write_outputs(report, outdir: str) -> list:
 
 def _cmd_simulate(args, typed) -> int:
     from .numerics import RandomStream, TimeGrid
-    from .paths import ProcessSpec, sample_mixed_path, write_path_csv
+    from .paths import ProcessSpec, sample_mixed_path
 
     grid = TimeGrid(horizon=typed["T"], cells=typed["cells"])
     spec = ProcessSpec(hurst=typed["H"], theta=typed["theta"], grid=grid)
     stream = RandomStream(master_seed=typed["seed"], key=(typed["rep"],))
     bundle = sample_mixed_path(spec, stream)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, typed["out"])
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        write_path_csv(bundle, handle)
-    print(path)
+    rows = zip(grid.nodes, bundle.brownian, bundle.fractional, bundle.mixed, bundle.state)
+    print(_write_csv(args.out, typed["out"], ("t", "B", "B^H", "Btilde", "X"), rows))
     return EXIT_OK
 
 
@@ -393,40 +400,22 @@ def _cmd_kernel(args, typed) -> int:
 
     kernel = _kernel(typed, args.verbose)
     qv = quadratic_variation(kernel)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, typed["out"])
-    nodes = kernel.grid.nodes
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("t,bracket,derivative,psi\n")
-        for j in range(nodes.size):
-            handle.write(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        float(nodes[j]),
-                        float(qv.bracket[j]),
-                        float(qv.derivative[j]),
-                        float(qv.psi_diag[j]),
-                    )
-                )
-                + "\n"
-            )
-    written = [path]
+    rows = zip(kernel.grid.nodes, qv.bracket, qv.derivative, qv.psi_diag)
+    print(_write_csv(args.out, typed["out"], ("t", "bracket", "derivative", "psi"), rows))
     if typed["matrix"]:
-        mpath = path + ".matrix.csv"
-        with open(mpath, "w", encoding="utf-8", newline="") as handle:
-            handle.write("horizon_index,cell_index,g\n")
-            for j in range(kernel.matrix.shape[0]):
-                for i in range(j + 1):
-                    handle.write(f"{j + 1},{i},{_fmt(float(kernel.matrix[j, i]))}\n")
-        written.append(mpath)
-    for item in written:
-        print(item)
+        g = kernel.matrix
+        rows = (
+            (j + 1, i, value)
+            for j in range(g.shape[0])
+            for i, value in enumerate(g[j, : j + 1].tolist())
+        )
+        columns = ("horizon_index", "cell_index", "g")
+        print(_write_csv(args.out, typed["out"] + ".matrix.csv", columns, rows))
     return EXIT_OK
 
 
 def _cmd_estimate(args, typed) -> int:
-    from .inference import estimate_batch, write_estimates_csv
+    from .inference import ESTIMATE_COLUMNS, estimate_batch
     from .numerics import RandomStream
     from .paths import ProcessSpec, sample_state_batch
     from .transform import quadratic_variation
@@ -437,20 +426,16 @@ def _cmd_estimate(args, typed) -> int:
     base = RandomStream(master_seed=typed["seed"], key=(0,))
     states = sample_state_batch(spec, base, range(typed["reps"]))
     records = estimate_batch(states, kernel, qv, typed["theta"], range(typed["reps"]))
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, typed["out"])
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        write_estimates_csv(records, handle)
-    print(path)
+    rows = (
+        (r.rep_id, r.hurst, r.theta_true, r.horizon, r.cells, r.theta_hat, r.numerator, r.denominator)
+        for r in records
+    )
+    print(_write_csv(args.out, typed["out"], ESTIMATE_COLUMNS, rows))
     return EXIT_OK
 
 
 def _cmd_cgf(args, typed) -> int:
-    from .ldp import cgf_limit, empirical_cgf, k_limit
-    from .numerics import RandomStream
-    from .paths import ProcessSpec
-    from .riccati import k_T_via_liouville, k_T_via_riccati, solve_riccati
-    from .transform import quadratic_variation
+    from .ldp import cgf_limit
 
     theta, horizon = typed["theta"], typed["T"]
     rows = []
@@ -460,26 +445,22 @@ def _cmd_cgf(args, typed) -> int:
             for b in b_grid:
                 rows.append(("analytic", a, b, -b, horizon, cgf_limit(a, b, theta), 0.0))
     else:
+        from .experiments import cgf_route
+        from .numerics import RandomStream
+        from .paths import ProcessSpec
+        from .transform import quadratic_variation
+
         kernel = _kernel(typed, args.verbose)
         qv = quadratic_variation(kernel)
         spec = ProcessSpec(hurst=typed["H"], theta=theta, grid=kernel.grid)
         for m_idx, mu in enumerate(typed["mu"]):
-            if args.method == "riccati":
-                value, err = k_T_via_riccati(solve_riccati(theta, mu, qv)), 0.0
-            elif args.method == "liouville":
-                value, err = k_T_via_liouville(theta, mu, qv), 0.0
-            else:
-                stream = RandomStream(master_seed=typed["seed"], key=(5, m_idx))
-                est = empirical_cgf(0.0, -mu, spec, kernel, qv, typed["reps"], stream)
-                value, err = est.value, est.stderr
+            stream = RandomStream(master_seed=typed["seed"], key=(5, m_idx))
+            value = cgf_route(args.method, theta, mu, spec, kernel, qv, typed["reps"], stream)
+            # the ODE routes return K_T itself; only Monte Carlo has a standard error
+            value, err = (value.value, value.stderr) if args.method == "mc" else (value, 0.0)
             rows.append((args.method, 0.0, -mu, mu, horizon, value, err))
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, typed["out"])
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("method,a,b,mu,T,value,stderr\n")
-        for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
-    print(path)
+    columns = ("method", "a", "b", "mu", "T", "value", "stderr")
+    print(_write_csv(args.out, typed["out"], columns, rows))
     return EXIT_OK
 
 
@@ -495,7 +476,7 @@ def _cmd_rate(args, typed) -> int:
     return EXIT_OK
 
 
-def _cmd_experiment(args, typed, budget) -> int:
+def _cmd_experiment(args, typed) -> int:
     from .experiments import (
         ExperimentConfig,
         run_cgf_convergence,
@@ -504,35 +485,29 @@ def _cmd_experiment(args, typed, budget) -> int:
         run_tail_slopes,
     )
 
-    kind = typed.get("kind")
-    if kind is None:
+    if "kind" not in typed:
         raise ConfigError("experiment needs kind (use --kind or --set kind=...)")
-    kwargs = {
-        "theta": typed["theta"],
-        "hurst": typed["H"],
-        "horizons": typed["T"],
-        "reps": typed["reps"],
-        "master_seed": typed["seed"],
-        "mu_grid": typed["mu"],
-        "x_grid": typed["x"],
-        "tails": typed["tails"],
-        "tilt": typed.get("tilt"),
-        "threads": budget,
-    }
-    if "cells_per_unit" in typed and "cells" in typed:
-        raise ConfigError("set exactly one of cells / cells_per_unit")
-    if "cells_per_unit" in typed:
-        kwargs["cells"] = None
-        kwargs["cells_per_unit"] = typed["cells_per_unit"]
-    else:
-        kwargs["cells"] = typed.get("cells", 512)
-    config = ExperimentConfig(**kwargs)
+    config = ExperimentConfig(
+        theta=typed["theta"],
+        hurst=typed["H"],
+        horizons=typed["T"],
+        # ExperimentConfig rejects a config that sets both
+        cells=typed.get("cells", None if "cells_per_unit" in typed else 512),
+        cells_per_unit=typed.get("cells_per_unit"),
+        reps=typed["reps"],
+        master_seed=typed["seed"],
+        mu_grid=typed["mu"],
+        x_grid=typed["x"],
+        tails=typed["tails"],
+        tilt=typed.get("tilt"),
+        threads=args.threads,
+    )
     runner = {
         "normality": run_normality,
         "tails": run_tail_slopes,
         "cgf": run_cgf_convergence,
         "h-invariance": run_h_invariance,
-    }[kind]
+    }[typed["kind"]]
     report = runner(config)
     written = write_outputs(report, args.out)
     if args.verbose:
@@ -549,6 +524,17 @@ def _cmd_experiment(args, typed, budget) -> int:
     return EXIT_OK
 
 
+# subcommand name -> (help line, handler); the parser and main both read it
+_COMMANDS = {
+    "simulate": ("sample one mixed path and write it as CSV", _cmd_simulate),
+    "kernel": ("build the transfer kernel tables", _cmd_kernel),
+    "estimate": ("simulate replications and write drift estimates", _cmd_estimate),
+    "cgf": ("evaluate the integrated-square CGF by one method", _cmd_cgf),
+    "rate": ("print the numeric and the printed rate at a point", _cmd_rate),
+    "experiment": ("run a replication study and persist its report", _cmd_experiment),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="mfou",
@@ -557,18 +543,10 @@ def build_parser() -> _Parser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "simulate": "sample one mixed path and write it as CSV",
-        "kernel": "build the transfer kernel tables",
-        "estimate": "simulate replications and write drift estimates",
-        "cgf": "evaluate the integrated-square CGF by one method",
-        "rate": "print the numeric and the printed rate at a point",
-        "experiment": "run a replication study and persist its report",
-    }
-    for name in ("simulate", "kernel", "estimate", "cgf", "rate", "experiment"):
+    for name, (help_line, _) in _COMMANDS.items():
         sp = sub.add_parser(
             name,
-            help=helps[name],
+            help=help_line,
             epilog=_keys_epilog(name),
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
@@ -610,23 +588,11 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if not hasattr(args, "check"):
-        args.check = False
     try:
-        budget = _resolve_threads(args)
-        _apply_thread_budget(budget)
+        args.threads = _resolve_threads(args)
+        _apply_thread_budget(args.threads)
         typed = _merged_section(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args, typed)
-        if args.command == "kernel":
-            return _cmd_kernel(args, typed)
-        if args.command == "estimate":
-            return _cmd_estimate(args, typed)
-        if args.command == "cgf":
-            return _cmd_cgf(args, typed)
-        if args.command == "rate":
-            return _cmd_rate(args, typed)
-        return _cmd_experiment(args, typed, budget)
+        return _COMMANDS[args.command][1](args, typed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -21,13 +21,14 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 from scipy.stats import beta as _beta
 
 from . import DEFAULT_SEED, __version__
+from .cli import _json_safe
 from .errors import ConfigError, ExperimentInvalid, NumericalError
 from .inference import DEGENERATE_DENOMINATOR, path_statistics_batch
 from .ldp import (
@@ -110,12 +111,6 @@ HINV_COLUMNS = (
 )
 
 
-def _encode_float(x: float):
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return float(x)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One flat bag of knobs shared by all four studies.
@@ -147,6 +142,10 @@ class ExperimentConfig:
         object.__setattr__(
             self, "tails", tuple((float(lo), float(hi)) for lo, hi in self.tails)
         )
+        for name in ("theta", "tilt", "cells_per_unit", "horizons", "mu_grid", "x_grid"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if not self.theta > 0.0:
             raise ConfigError(f"theta must be positive, got {self.theta}")
         if not self.hurst:
@@ -194,20 +193,7 @@ class ExperimentConfig:
         return TimeGrid(horizon=float(horizon), cells=cells)
 
     def to_manifest(self) -> dict:
-        return {
-            "theta": self.theta,
-            "hurst": list(self.hurst),
-            "horizons": list(self.horizons),
-            "cells": self.cells,
-            "cells_per_unit": self.cells_per_unit,
-            "reps": self.reps,
-            "master_seed": self.master_seed,
-            "mu_grid": list(self.mu_grid),
-            "x_grid": list(self.x_grid),
-            "tails": [[_encode_float(lo), _encode_float(hi)] for lo, hi in self.tails],
-            "tilt": self.tilt,
-            "threads": self.threads,
-        }
+        return _json_safe(asdict(self))
 
     @classmethod
     def from_manifest(cls, data: dict) -> "ExperimentConfig":
@@ -622,26 +608,20 @@ def run_tail_slopes(config: ExperimentConfig) -> ExperimentReport:
         {
             "H": rec["H"],
             "T": rec["T"],
-            "gamma": [_encode_float(rec["gamma"][0]), _encode_float(rec["gamma"][1])],
+            "gamma": rec["gamma"],
             "attrition": rec["attrition"],
             "valid": rec["valid"],
             "intervals_overlap": rec["overlap"],
-            "estimates": [
-                {k: (list(v) if isinstance(v, tuple) else v) for k, v in est.items()}
-                for est in rec["estimates"]
-            ],
+            "estimates": rec["estimates"],
         }
         for rec in records
     ]
     manifest["slopes"] = [
         {
             "H": config.hurst[h_idx],
-            "gamma": [
-                _encode_float(config.tails[g_idx][0]),
-                _encode_float(config.tails[g_idx][1]),
-            ],
+            "gamma": config.tails[g_idx],
             "fit": info,
-            "rates": {k: _encode_float(v) for k, v in refs.items()},
+            "rates": refs,
         }
         for (h_idx, g_idx), (info, refs) in sorted(slope_info.items())
     ]
@@ -649,8 +629,8 @@ def run_tail_slopes(config: ExperimentConfig) -> ExperimentReport:
         manifest["rate_table"] = [
             {
                 "x": x,
-                "printed": _encode_float(rate_function_printed_reflected(x, config.theta)),
-                "numeric": _encode_float(rate_function_numeric(x, config.theta)),
+                "printed": rate_function_printed_reflected(x, config.theta),
+                "numeric": rate_function_numeric(x, config.theta),
             }
             for x in config.x_grid
         ]
@@ -661,6 +641,24 @@ def run_tail_slopes(config: ExperimentConfig) -> ExperimentReport:
         and all(consistency)
     )
     return ExperimentReport("tails", TAILS_COLUMNS, tuple(rows), manifest)
+
+
+CGF_ROUTES = ("riccati", "liouville", "mc")
+
+
+def cgf_route(route: str, theta, mu, spec, kernel, qv, reps: int, stream):
+    """K_T(mu) by one of CGF_ROUTES; Monte Carlo returns its whole estimate record.
+
+    The route functions are read from this module's namespace at each call, so
+    a patched or traced route is the one that runs.
+    """
+    if route == "riccati":
+        return k_T_via_riccati(solve_riccati(theta, mu, qv))
+    if route == "liouville":
+        return k_T_via_liouville(theta, mu, qv)
+    if route == "mc":
+        return empirical_cgf(0.0, -mu, spec, kernel, qv, reps, stream)
+    raise ValueError(f"unknown CGF route {route!r}")
 
 
 def run_cgf_convergence(config: ExperimentConfig) -> ExperimentReport:
@@ -693,27 +691,26 @@ def run_cgf_convergence(config: ExperimentConfig) -> ExperimentReport:
             spec = ProcessSpec(hurst=hurst, theta=config.theta, grid=grid)
             for m_idx, mu in enumerate(config.mu_grid):
                 lim = k_limit(mu, config.theta) + 0.0
-                errors = {"riccati": "", "liouville": "", "mc": ""}
-                k_ric = k_lio = lio_estimate = k_mc = mc_se = math.nan
-                unreliable = False
-                try:
-                    k_ric = k_T_via_riccati(solve_riccati(config.theta, mu, qv))
-                except NumericalError as exc:
-                    errors["riccati"] = f"{type(exc).__name__}: {exc}"
-                try:
-                    route = k_T_via_liouville(config.theta, mu, qv)
-                    k_lio, lio_estimate = float(route), route.error
-                except NumericalError as exc:
-                    errors["liouville"] = f"{type(exc).__name__}: {exc}"
                 stream = RandomStream(
                     master_seed=config.master_seed, key=(_EXP_CGF, h_idx, t_idx, m_idx)
                 )
-                try:
-                    est = empirical_cgf(0.0, -mu, spec, kernel, qv, config.reps, stream)
+                results, errors = {}, dict.fromkeys(CGF_ROUTES, "")
+                for route in CGF_ROUTES:
+                    try:
+                        results[route] = cgf_route(
+                            route, config.theta, mu, spec, kernel, qv, config.reps, stream
+                        )
+                    except NumericalError as exc:
+                        errors[route] = f"{type(exc).__name__}: {exc}"
+                k_ric = float(results.get("riccati", math.nan))
+                k_lio = lio_estimate = k_mc = mc_se = math.nan
+                unreliable = False
+                if "liouville" in results:
+                    k_lio, lio_estimate = float(results["liouville"]), results["liouville"].error
+                if "mc" in results:
+                    est = results["mc"]
                     k_mc, mc_se = est.value, est.stderr
                     unreliable = bool(est.unreliable or est.heavy_tail)
-                except NumericalError as exc:
-                    errors["mc"] = f"{type(exc).__name__}: {exc}"
                 blowup = any(errors.values())
                 d_ric = abs(k_ric - lim)
                 d_lio = abs(k_lio - lim)
@@ -838,7 +835,7 @@ def run_h_invariance(config: ExperimentConfig) -> ExperimentReport:
         {
             "H": rec["H"],
             "T": rec["T"],
-            "gamma": [_encode_float(gamma[0]), _encode_float(gamma[1])],
+            "gamma": gamma,
             "attrition": rec["attrition"],
             "valid": rec["valid"],
             "p": rec["chosen"]["p"],

@@ -184,20 +184,3 @@ ESTIMATE_COLUMNS = (
     "numerator",
     "denominator",
 )
-
-
-def write_estimates_csv(records, fileobj) -> None:
-    """Append-style CSV of EstimateRecords, floats at round-trip precision."""
-    fileobj.write(",".join(ESTIMATE_COLUMNS) + "\n")
-    for rec in records:
-        row = (
-            str(rec.rep_id),
-            repr(float(rec.hurst)),
-            repr(float(rec.theta_true)),
-            repr(float(rec.horizon)),
-            str(rec.cells),
-            repr(float(rec.theta_hat)),
-            repr(float(rec.numerator)),
-            repr(float(rec.denominator)),
-        )
-        fileobj.write(",".join(row) + "\n")

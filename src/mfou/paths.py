@@ -290,12 +290,3 @@ def exact_ou_covariance_oracle(spec: ProcessSpec, nodes, refine: int = 8) -> np.
         w = 0.5 * (np.exp(-spec.theta * (t - lo)) + np.exp(-spec.theta * (t - hi)))
         weights[k, inside] = w[inside]
     return weights @ inc_cov @ weights.T
-
-
-def write_path_csv(bundle: PathBundle, fileobj) -> None:
-    """Write node columns t, B, B^H, Btilde, X at round-trip precision."""
-    fileobj.write("t,B,B^H,Btilde,X\n")
-    t = bundle.grid.nodes
-    for k in range(t.size):
-        row = (t[k], bundle.brownian[k], bundle.fractional[k], bundle.mixed[k], bundle.state[k])
-        fileobj.write(",".join(repr(float(v)) for v in row) + "\n")

@@ -50,8 +50,7 @@ where the last bracket is O(1). M itself solves M' = lam (A M + M A) from
 M(0) = -I (see solve_M_equation), and its trace obeys the envelope
 |tr M(t)| <= 2 exp(4 lam t + TV_0^t log psi), attained at t = 0.
 
-A has eigenvalues {0, 2}, so A^2 = 2A. M, Upsilon_1 and Upsilon_2 advance
-by the two-point Gauss fourth-order Magnus step (Blanes, Casas, Oteo & Ros,
+A has eigenvalues {0, 2}, so A^2 = 2A. M advances by the two-point Gauss fourth-order Magnus step (Blanes, Casas, Oteo & Ros,
 Phys. Rep. 470, 2009), M <- e^{Omega_L} M e^{Omega_R}: with A_k = A(psi at
 the Gauss points t + (1/2 -+ sqrt(3)/6) h) and K(psi) = A(psi) - I,
 
@@ -109,8 +108,6 @@ class RiccatiRun:
     gamma: np.ndarray | None = None
     trace_gamma_r: np.ndarray | None = None
     log_scale: np.ndarray | None = None
-    upsilon1: np.ndarray | None = None
-    upsilon2: np.ndarray | None = None
     m_traj: np.ndarray | None = None
     trace_bound_ratios: np.ndarray | None = None
     trace_bound_max: float | None = None
@@ -298,9 +295,9 @@ def _magnus_factors(lam: float, psi: np.ndarray, substeps: int, h: float):
     """Traceless-part exponentials of every Gauss-4 Magnus substep, in one array pass.
 
     psi holds the node values (linear in between); each interval is cut into
-    `substeps` substeps of length k = h/substeps. Returns (F_L, F_R, F_-),
-    each of shape (cells * substeps, 2, 2), with e^{Omega} = e^{+-lam k} F for
-    the left and right actions at +lam and the right action at -lam.
+    `substeps` substeps of length k = h/substeps. Returns (F_L, F_R), each of
+    shape (cells * substeps, 2, 2), with e^{Omega} = e^{lam k} F for the left
+    and the right action.
     """
     weights = (np.arange(substeps)[:, None] + np.array(_GAUSS)) / substeps  # (substeps, 2)
     left, right = psi[:-1, None, None], psi[1:, None, None]
@@ -322,7 +319,7 @@ def _magnus_factors(lam: float, psi: np.ndarray, substeps: int, h: float):
         out[:, 1, 0] = sinhc * c
         return out
 
-    return expm(delta, beta, gamma), expm(-delta, beta, gamma), expm(-delta, -beta, -gamma)
+    return expm(delta, beta, gamma), expm(-delta, beta, gamma)
 
 
 def _ordered_product(factors: np.ndarray, left: bool) -> np.ndarray:
@@ -342,12 +339,11 @@ def solve_M_equation(lam: float, qv: QVTable, horizon: float | None = None) -> R
     grow like e^{4 lam t}; every stored matrix is the true one times
     e^{-4 lam t}, so log_scale = 4 lam t exactly. One Gauss-4 Magnus step
     per grid interval (module docstring) advances M <- e^{Omega_L} M
-    e^{Omega_R} and, when lam > 0, the split pair Upsilon_1' = lam
-    Upsilon_1 A, Upsilon_2' = -lam Upsilon_2 A from +-I/(2 lam), so that
-    M = Upsilon_2^{-1} Upsilon_1 is checkable (that ratio is scale-free).
-    trace_error is the step-doubling estimate of the error of tr M(T)
-    e^{-4 lam T}: 16/15 of its change when every interval takes two steps,
-    plus cells * eps * max|M(T)| e^{-4 lam T} for rounding.
+    e^{Omega_R}. M is the ratio Upsilon_2^{-1} Upsilon_1 of the split pair in
+    the module docstring; the pair itself is never formed. trace_error is
+    the step-doubling estimate of the error of tr M(T) e^{-4 lam T}: 16/15 of
+    its change when every interval takes two steps, plus
+    cells * eps * max|M(T)| e^{-4 lam T} for rounding.
 
     The trace envelope: M = -U V with U' = lam A U, V' = lam V A,
     U(0) = V(0) = I. In the frame D = diag(1, psi), D^{-1} A D is the
@@ -374,9 +370,9 @@ def solve_M_equation(lam: float, qv: QVTable, horizon: float | None = None) -> R
     if np.any(psi <= 0.0):
         raise PsiNotPositive(f"min psi on [0, {times[-1]:.6g}] = {float(np.min(psi)):.3e}")
 
-    # stored scale e^{-4 lam t}; a step multiplies the true M by e^{2 lam dt},
-    # Upsilon_1 by e^{lam dt} and Upsilon_2 by e^{-lam dt} besides the F factors
-    f_left, f_right, f_minus = _magnus_factors(lam, psi, 1, dt)
+    # stored scale e^{-4 lam t}; a step multiplies the true M by e^{2 lam dt}
+    # besides the F factors
+    f_left, f_right = _magnus_factors(lam, psi, 1, dt)
     decay = math.exp(-lam * dt)
     f_left *= decay
     f_right *= decay
@@ -384,20 +380,10 @@ def solve_M_equation(lam: float, qv: QVTable, horizon: float | None = None) -> R
     m_traj[0] = -_I2
     for j in range(stop):
         m_traj[j + 1] = f_left[j] @ m_traj[j] @ f_right[j]
-    ups1 = ups2 = None
-    if lam > 0.0:
-        ups1 = np.empty((stop + 1, 2, 2))
-        ups2 = np.empty((stop + 1, 2, 2))
-        ups1[0], ups2[0] = (0.5 / lam) * _I2, (-0.5 / lam) * _I2
-        f_plus = f_right * (decay * decay)
-        f_minus *= decay**5
-        for j in range(stop):
-            ups1[j + 1] = ups1[j] @ f_plus[j]
-            ups2[j + 1] = ups2[j] @ f_minus[j]
     if not np.all(np.isfinite(m_traj[-1])):
         raise BlowUp(time=float(times[-1]), magnitude=math.inf)
 
-    fine_left, fine_right, _ = _magnus_factors(lam, psi, 2, dt)
+    fine_left, fine_right = _magnus_factors(lam, psi, 2, dt)
     half_decay = math.exp(-0.5 * lam * dt)
     fine_m = -_ordered_product(fine_left * half_decay, left=True) @ _ordered_product(
         fine_right * half_decay, left=False
@@ -416,8 +402,6 @@ def solve_M_equation(lam: float, qv: QVTable, horizon: float | None = None) -> R
         times=times,
         lam=lam,
         log_scale=4.0 * lam * times,
-        upsilon1=ups1,
-        upsilon2=ups2,
         m_traj=m_traj,
         trace_bound_ratios=ratios,
         trace_bound_max=float(np.max(ratios)),

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from mfou import DEFAULT_SEED
 from mfou.cli import (
     EXIT_CONFIG,
     EXIT_GATE,
@@ -18,9 +19,12 @@ from mfou.cli import (
     write_outputs,
 )
 from mfou.errors import ConfigError
-from mfou.experiments import ExperimentConfig, ExperimentReport
-from mfou.inference import ESTIMATE_COLUMNS
+from mfou.experiments import ExperimentConfig, ExperimentReport, run_cgf_convergence
+from mfou.inference import ESTIMATE_COLUMNS, estimate_batch
 from mfou.ldp import k_limit
+from mfou.numerics import RandomStream, TimeGrid
+from mfou.paths import ProcessSpec, sample_state_batch
+from mfou.transform import build_kernel, quadratic_variation
 
 
 def test_fmt_scalars():
@@ -113,6 +117,26 @@ def test_bad_value_exit_code(capsys):
     assert "H" in err and "(0, 1]" in err
 
 
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        (["simulate", "--set", "T=inf"], "T"),
+        (["simulate", "--set", "theta=inf"], "theta"),
+        (["estimate", "--set", "theta=inf"], "theta"),
+        (["experiment", "--kind", "tails", "--set", "tilt=inf"], "tilt"),
+        (["experiment", "--kind", "tails", "--set", "cells_per_unit=inf"], "cells_per_unit"),
+        (["cgf", "--method", "analytic", "--set", "mu=nan"], "mu"),
+        (["experiment", "--kind", "cgf", "--set", "mu=nan"], "mu"),
+        (["rate", "--theta", "inf", "--x", "1"], "theta"),
+        (["rate", "--x", "nan"], "x"),
+    ],
+)
+def test_non_finite_value_exit_code(tmp_path, capsys, argv, key):
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
+    assert f"bad value for '{key}'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_unknown_key_exit_code(capsys):
     assert main(["simulate", "--set", "bogus=1"]) == EXIT_CONFIG
     assert "unknown key 'bogus'" in capsys.readouterr().err
@@ -126,6 +150,9 @@ def test_simulate_writes_paths(tmp_path, capsys):
     lines = (tmp_path / "paths.csv").read_text().strip().split("\n")
     assert lines[0] == "t,B,B^H,Btilde,X"
     assert len(lines) == 18
+    first = lines[1].split(",")
+    assert float(first[0]) == 0.0
+    assert float(first[4]) == 0.0
 
 
 def test_estimate_csv_columns(tmp_path):
@@ -142,6 +169,16 @@ def test_estimate_csv_columns(tmp_path):
     lines = (tmp_path / "estimates.csv").read_text().strip().split("\n")
     assert lines[0] == ",".join(ESTIMATE_COLUMNS)
     assert len(lines) == 4
+    # theta_hat round-trips: the same draws through the API give the same floats
+    kernel = build_kernel(0.7, TimeGrid(1.0, 16))
+    qv = quadratic_variation(kernel)
+    spec = ProcessSpec(0.7, 1.0, kernel.grid)
+    states = sample_state_batch(spec, RandomStream(DEFAULT_SEED, (0,)), range(3))
+    records = estimate_batch(states, kernel, qv, 1.0, range(3))
+    rows = [line.split(",") for line in lines[1:]]
+    assert all(len(row) == len(ESTIMATE_COLUMNS) for row in rows)
+    column = ESTIMATE_COLUMNS.index("theta_hat")
+    assert [float(row[column]) for row in rows] == [r.theta_hat for r in records]
 
 
 def test_verbose_reports_kernel_health(tmp_path, capsys):
@@ -150,6 +187,17 @@ def test_verbose_reports_kernel_health(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "kernel H=0.7 n=16:" in err
     assert "max_residual=" in err and "min_pivot=" in err
+
+
+def test_kernel_matrix_table(tmp_path):
+    args = ["kernel", "--set", "T=1.0", "--set", "cells=8", "--set", "matrix=true"]
+    assert main(args + ["--out", str(tmp_path)]) == EXIT_OK
+    lines = (tmp_path / "kernel.csv.matrix.csv").read_text().strip().split("\n")
+    assert lines[0] == "horizon_index,cell_index,g"
+    matrix = build_kernel(0.7, TimeGrid(1.0, 8)).matrix
+    expected = [(j + 1, i, matrix[j, i]) for j in range(8) for i in range(j + 1)]
+    got = [(int(j), int(i), float(g)) for j, i, g in (line.split(",") for line in lines[1:])]
+    assert got == expected
 
 
 def test_verbose_reports_worst_route_estimate(tmp_path, capsys):
@@ -181,6 +229,27 @@ def test_cgf_analytic_value(tmp_path):
     row = lines[1].split(",")
     assert row[0] == "analytic"
     assert float(row[5]) == pytest.approx(k_limit(0.5, 1.0))
+
+
+def test_cgf_routes_match_study(tmp_path):
+    # the CLI and the cgf study call the ODE routes through one function
+    config = ExperimentConfig(hurst=(0.7,), horizons=(2.0,), cells=32, reps=64, mu_grid=(0.5,))
+    report = run_cgf_convergence(config)
+    study = dict(zip(report.columns, report.rows[0]))
+    for method, column in (("riccati", "k_riccati"), ("liouville", "k_liouville"), ("mc", None)):
+        args = ["cgf", "--method", method, "--set", "H=0.7", "--set", "T=2",
+                "--set", "cells=32", "--set", "mu=0.5", "--set", "reps=64"]
+        assert main(args + ["--out", str(tmp_path / method)]) == EXIT_OK
+        lines = (tmp_path / method / "cgf.csv").read_text().strip().split("\n")
+        assert len(lines) == 2
+        row = lines[1].split(",")
+        assert row[0] == method
+        value, stderr = float(row[5]), float(row[6])
+        if column is None:
+            assert math.isfinite(value) and stderr > 0.0
+        else:
+            assert value == study[column]
+            assert row[6] == "0.0"
 
 
 def test_set_overrides_config_file(tmp_path):
@@ -263,4 +332,22 @@ def test_help_runs_clean():
         text=True,
     )
     assert proc.returncode == 0
+    assert "config keys" in proc.stdout
+
+
+def test_cli_loads_no_numpy():
+    # the thread budget must be applied before numpy loads (module docstring)
+    code = (
+        "import sys\n"
+        "import mfou.cli\n"
+        "mfou.cli.build_parser()\n"
+        "try:\n"
+        "    mfou.cli.main(['experiment', '--help'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "heavy = sorted(m for m in ('numpy', 'scipy') if m in sys.modules)\n"
+        "assert not heavy, heavy\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
     assert "config keys" in proc.stdout

@@ -49,6 +49,22 @@ def test_config_roundtrip_with_infinite_tail():
     assert back.config_hash() == config.config_hash()
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"theta": math.inf},
+        {"tilt": math.inf},
+        {"horizons": (5.0, math.inf)},
+        {"cells": None, "cells_per_unit": math.inf},
+        {"mu_grid": (0.25, math.nan)},
+        {"x_grid": (math.inf,)},
+    ],
+)
+def test_config_rejects_non_finite(kwargs):
+    with pytest.raises(ConfigError, match="must be finite"):
+        ExperimentConfig(**kwargs)
+
+
 def test_config_hash_tracks_content():
     a = ExperimentConfig(reps=2000)
     b = ExperimentConfig(reps=2001)

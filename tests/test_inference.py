@@ -1,18 +1,14 @@
-import io
-
 import numpy as np
 import pytest
 
 from mfou.errors import GridMismatch
 from mfou.inference import (
-    ESTIMATE_COLUMNS,
     compute_Q_batch,
     compute_Q_direct,
     compute_Z_batch,
     estimate_batch,
     reconstruct_X,
     sufficient_statistics_batch,
-    write_estimates_csv,
 )
 from mfou.numerics import RandomStream, TimeGrid, trapezoid_integral
 from mfou.paths import ProcessSpec, sample_mixed_path, sample_state_batch
@@ -150,19 +146,3 @@ def test_grid_mismatch_raises(kernel_07, qv_07):
     inv = inverse_kernel(kernel_07, qv_07)
     with pytest.raises(GridMismatch):
         reconstruct_X(np.zeros(10), inv)
-
-
-def test_estimates_csv_contract(kernel_07, qv_07):
-    spec = ProcessSpec(0.7, 1.0, kernel_07.grid)
-    states = sample_state_batch(spec, RandomStream(1), range(2))
-    records = estimate_batch(states, kernel_07, qv_07, 1.0, range(2))
-    buf = io.StringIO()
-    write_estimates_csv(records, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == ",".join(ESTIMATE_COLUMNS)
-    assert len(lines) == 3
-    row = lines[1].split(",")
-    assert len(row) == len(ESTIMATE_COLUMNS)
-    assert float(row[ESTIMATE_COLUMNS.index("theta_hat")]) == pytest.approx(
-        records[0].theta_hat
-    )

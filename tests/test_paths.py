@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -17,7 +15,6 @@ from mfou.paths import (
     sample_fbm_increments,
     sample_mixed_path,
     sample_state_batch,
-    write_path_csv,
 )
 
 
@@ -163,16 +160,3 @@ def test_bundle_length_check():
     good = np.zeros(33)
     with pytest.raises(LengthMismatch):
         PathBundle(spec=spec, brownian=good, fractional=good, mixed=good, state=np.zeros(32))
-
-
-def test_path_csv_shape():
-    spec = _spec(0.7, cells=16)
-    bundle = sample_mixed_path(spec, RandomStream(2, (0,)))
-    buf = io.StringIO()
-    write_path_csv(bundle, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "t,B,B^H,Btilde,X"
-    assert len(lines) == 18
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.0
-    assert float(first[4]) == 0.0

@@ -192,12 +192,25 @@ def test_eigen_split_identities():
 
 
 def test_m_equation_split_identity(qv_07):
+    # M = Upsilon_2^{-1} Upsilon_1 with Upsilon_1' = lam Upsilon_1 A and
+    # Upsilon_2' = -lam Upsilon_2 A from +-I/(2 lam), each propagated here by
+    # scipy's expm of its Gauss-4 Magnus Omega (right action)
+    from scipy.linalg import expm
+
     lam, _, _ = eigen_split(1.0, 0.5)
     run = solve_M_equation(lam, qv_07)
     assert np.array_equal(run.m_traj[0], -np.eye(2))
     j = qv_07.grid.cells // 2
-    # stored matrices carry the common factor e^{-log_scale}, which the ratio drops
-    recon = np.linalg.solve(run.upsilon2[j], run.upsilon1[j])
+    h, psi = qv_07.grid.dt, qv_07.psi_diag
+    ups1, ups2 = np.eye(2) / (2.0 * lam), -np.eye(2) / (2.0 * lam)
+    for k in range(j):
+        p1, p2 = psi[k] + (psi[k + 1] - psi[k]) * np.array(riccati._GAUSS)
+        a1, a2 = (np.array([[1.0, 1.0 / p], [p, 1.0]]) for p in (p1, p2))
+        comm = (math.sqrt(3.0) / 12.0) * h * h * (a2 @ a1 - a1 @ a2)
+        ups1 = ups1 @ expm(0.5 * lam * h * (a1 + a2) - lam * lam * comm)
+        ups2 = ups2 @ expm(-0.5 * lam * h * (a1 + a2) - lam * lam * comm)
+    # stored matrices carry the common factor e^{-log_scale}
+    recon = np.linalg.solve(ups2, ups1)
     assert np.max(np.abs(run.m_traj[j] * math.exp(run.log_scale[j]) - recon)) < 1e-6
     assert np.allclose(run.log_scale, 4.0 * lam * run.times, rtol=1e-15, atol=0.0)
     assert run.trace_bound_ratios.shape == run.times.shape
@@ -208,7 +221,6 @@ def test_m_equation_split_identity(qv_07):
 def test_m_equation_lam_zero_is_frozen(qv_07):
     run = solve_M_equation(0.0, qv_07)
     assert np.allclose(run.m_traj, -np.eye(2), atol=1e-14)
-    assert run.upsilon1 is None
     with pytest.raises(ValueError):
         solve_M_equation(-0.1, qv_07)
 
@@ -234,7 +246,7 @@ def test_magnus_factors_match_expm():
 
     lam, h = 0.8, 0.3
     psi = np.array([0.7, 1.9, 1.2])
-    f_left, f_right, f_minus = riccati._magnus_factors(lam, psi, 1, h)
+    f_left, f_right = riccati._magnus_factors(lam, psi, 1, h)
     for j in range(2):
         p1, p2 = psi[j] + (psi[j + 1] - psi[j]) * np.array(riccati._GAUSS)
         a1, a2 = (np.array([[1.0, 1.0 / p], [p, 1.0]]) for p in (p1, p2))
@@ -242,8 +254,6 @@ def test_magnus_factors_match_expm():
         for sign, got in ((1.0, f_left), (-1.0, f_right)):
             omega = 0.5 * lam * h * (a1 + a2) + sign * lam * lam * comm
             assert np.allclose(math.exp(-lam * h) * expm(omega), got[j], rtol=1e-13, atol=1e-14)
-        omega = -0.5 * lam * h * (a1 + a2) - lam * lam * comm
-        assert np.allclose(math.exp(lam * h) * expm(omega), f_minus[j], rtol=1e-13, atol=1e-14)
 
 
 def test_trace_bound_constant():
