@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from mfou.cli import EXIT_OK, main
 from mfou.errors import GridMismatch
 from mfou.inference import (
+    ESTIMATE_COLUMNS,
     compute_Q_batch,
     compute_Q_direct,
     compute_Z_batch,
@@ -146,3 +148,20 @@ def test_grid_mismatch_raises(kernel_07, qv_07):
     inv = inverse_kernel(kernel_07, qv_07)
     with pytest.raises(GridMismatch):
         reconstruct_X(np.zeros(10), inv)
+
+
+def test_estimates_csv_contract(kernel_07, qv_07, tmp_path):
+    # the estimates CSV is written by `mfou estimate`; its rows are estimate_batch's records
+    args = ["estimate", "--set", "T=2.0", "--set", "cells=64", "--set", "seed=1", "--set", "reps=2"]
+    assert main(args + ["--out", str(tmp_path)]) == EXIT_OK
+    spec = ProcessSpec(0.7, 1.0, kernel_07.grid)
+    states = sample_state_batch(spec, RandomStream(1, (0,)), range(2))
+    records = estimate_batch(states, kernel_07, qv_07, 1.0, range(2))
+    lines = (tmp_path / "estimates.csv").read_text().strip().split("\n")
+    assert lines[0] == ",".join(ESTIMATE_COLUMNS)
+    assert len(lines) == 3
+    row = lines[1].split(",")
+    assert len(row) == len(ESTIMATE_COLUMNS)
+    assert float(row[ESTIMATE_COLUMNS.index("theta_hat")]) == pytest.approx(
+        records[0].theta_hat
+    )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mfou import paths
+from mfou.cli import EXIT_OK, main
 from mfou.errors import LengthMismatch, NodeSetTooLarge
 from mfou.numerics import RandomStream, TimeGrid
 from mfou.paths import (
@@ -160,3 +161,15 @@ def test_bundle_length_check():
     good = np.zeros(33)
     with pytest.raises(LengthMismatch):
         PathBundle(spec=spec, brownian=good, fractional=good, mixed=good, state=np.zeros(32))
+
+
+def test_path_csv_shape(tmp_path):
+    # the path CSV is written by `mfou simulate`: one row per node, starting at t = 0, X = 0
+    args = ["simulate", "--set", "T=1.0", "--set", "cells=16", "--set", "seed=2"]
+    assert main(args + ["--out", str(tmp_path)]) == EXIT_OK
+    lines = (tmp_path / "paths.csv").read_text().strip().split("\n")
+    assert lines[0] == "t,B,B^H,Btilde,X"
+    assert len(lines) == 18
+    first = lines[1].split(",")
+    assert float(first[0]) == 0.0
+    assert float(first[4]) == 0.0
