@@ -11,6 +11,10 @@ __version__ = "0.1.0"
 # master seed of the CLI and of ExperimentConfig when none is given
 DEFAULT_SEED = 20260814
 
+# fewest lattice cells a time grid accepts; the CLI checks configs against it
+# without importing numpy
+MIN_CELLS = 8
+
 _SUBMODULES = (
     "cli",
     "errors",

@@ -17,7 +17,7 @@ import math
 import os
 import sys
 
-from . import DEFAULT_SEED
+from . import DEFAULT_SEED, MIN_CELLS
 from .errors import ConfigError, MfouError, NumericalError
 
 EXIT_OK = 0
@@ -130,7 +130,7 @@ class _Key:
 _HURST = _Key(_parse_hurst, "0.7", "Hurst index, in (0, 1]")
 _THETA = _Key(_parse_positive, "1.0", "drift parameter, positive")
 _HORIZON = _Key(_parse_positive, "10.0", "horizon, positive")
-_CELLS = _Key(_parse_int_min(2), "512", "lattice cells, at least 2")
+_CELLS = _Key(_parse_int_min(MIN_CELLS), "512", f"lattice cells, at least {MIN_CELLS}")
 _SEED = _Key(_parse_int_min(0), str(DEFAULT_SEED), "master seed, nonnegative")
 
 # every config key, with its default and constraint (surfaced in --help)
@@ -181,7 +181,7 @@ KEYS = {
         "theta": _THETA,
         "H": _Key(_list_of(_parse_hurst), "0.7", "Hurst indices, each in (0, 1]"),
         "T": _Key(_list_of(_parse_positive), "20.0", "horizons, positive ascending"),
-        "cells": _Key(_parse_int_min(2), None, "lattice cells, fixed across horizons (exclusive with cells_per_unit)"),
+        "cells": _Key(_parse_int_min(MIN_CELLS), None, f"lattice cells, at least {MIN_CELLS}, fixed across horizons (exclusive with cells_per_unit)"),
         "cells_per_unit": _Key(_parse_positive, None, "lattice cells per unit horizon (exclusive with cells)"),
         "reps": _Key(_parse_int_min(1), "2000", "replications per cell"),
         "seed": _SEED,

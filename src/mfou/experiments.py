@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 from scipy.stats import beta as _beta
 
-from . import DEFAULT_SEED, __version__
+from . import DEFAULT_SEED, MIN_CELLS, __version__
 from .cli import _json_safe
 from .errors import ConfigError, ExperimentInvalid, NumericalError
 from .inference import DEGENERATE_DENOMINATOR, path_statistics_batch
@@ -162,8 +162,8 @@ class ExperimentConfig:
             raise ConfigError("horizons must be strictly increasing")
         if (self.cells is None) == (self.cells_per_unit is None):
             raise ConfigError("set exactly one of cells / cells_per_unit")
-        if self.cells is not None and int(self.cells) < 2:
-            raise ConfigError(f"cells must be at least 2, got {self.cells}")
+        if self.cells is not None and int(self.cells) < MIN_CELLS:
+            raise ConfigError(f"cells must be at least {MIN_CELLS}, got {self.cells}")
         if self.cells_per_unit is not None and not self.cells_per_unit > 0.0:
             raise ConfigError(f"cells_per_unit must be positive, got {self.cells_per_unit}")
         if int(self.reps) < 1:
@@ -186,9 +186,10 @@ class ExperimentConfig:
         if self.cells is not None:
             return TimeGrid(horizon=float(horizon), cells=self.cells)
         cells = int(round(self.cells_per_unit * horizon))
-        if cells < 2:
+        if cells < MIN_CELLS:
             raise ConfigError(
-                f"cells_per_unit={self.cells_per_unit} gives {cells} cells at T={horizon}"
+                f"cells_per_unit={self.cells_per_unit} gives {cells} cells at T={horizon}, "
+                f"need at least {MIN_CELLS}"
             )
         return TimeGrid(horizon=float(horizon), cells=cells)
 

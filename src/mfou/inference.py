@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dtrmm
 
 from .errors import GridMismatch
 from .numerics import TimeGrid
@@ -63,7 +64,10 @@ def compute_Z_batch(states: np.ndarray, kernel: TransferKernel) -> np.ndarray:
         raise GridMismatch(f"state batch must have {n + 1} columns")
     out = np.empty_like(states)
     out[:, 0] = 0.0
-    out[:, 1:] = np.diff(states, axis=1) @ kernel.matrix.T
+    # kernel.matrix is lower-triangular: one triangular product on the Fortran
+    # views of K.T and of the increments, written over the increments
+    dx = np.diff(states, axis=1)
+    out[:, 1:] = dtrmm(1.0, kernel.matrix.T, dx.T, side=0, lower=0, trans_a=1, overwrite_b=1).T
     return out
 
 
@@ -123,8 +127,9 @@ def sufficient_statistics_batch(q: np.ndarray, z: np.ndarray, qv: QVTable):
     """(int Q dZ, int Q^2 d<M>) per row: left-endpoint and trapezoid sums."""
     dm = qv.bracket_increments()
     numerator = np.einsum("rj,rj->r", q[:, :-1], np.diff(z, axis=1))
-    q2 = q**2
-    denominator = (0.5 * (q2[:, :-1] + q2[:, 1:])) @ dm
+    # the trapezoid as node weights: half of each adjacent cell's bracket increment
+    weights = 0.5 * (np.pad(dm, (0, 1)) + np.pad(dm, (1, 0)))
+    denominator = q**2 @ weights
     return numerator, denominator
 
 

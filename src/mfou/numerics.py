@@ -22,9 +22,8 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import lapack
 
+from . import MIN_CELLS
 from .errors import GridTooCoarse, LengthMismatch, NotPositiveDefinite, NotSymmetric
-
-MIN_CELLS = 8
 
 # Cholesky jitter policy: start at 1e-12 * trace/dim, escalate x10, at most
 # three escalations before giving up with the original failure pivot.

@@ -6,8 +6,9 @@ process solves dX = -theta*X dt + dBtilde with X_0 = 0 and is discretized by
 the Euler recursion X_{k+1} = X_k - theta*X_k*dt + (Btilde increment).
 
 Fractional increments are exact in law: stationary fractional Gaussian noise
-is sampled through a circulant embedding of its autocovariance (FFT route),
-with a dense Cholesky fallback if the embedding is not nonnegative definite.
+is sampled through a circulant embedding of its autocovariance (FFT route:
+one Hermitian half-spectrum transform per row, `np.fft.hfft`), with a dense
+Cholesky fallback if the embedding is not nonnegative definite.
 H = 1 is the degenerate perfectly-correlated case B^1_t = t * xi and is
 sampled directly.
 
@@ -38,10 +39,12 @@ _SUB_FBM = 1
 # treated as roundoff and clipped; anything worse triggers the fallback.
 _EIG_CLIP_REL = 1e-12
 
-# Rows per FFT block in the circulant embedding: the complex spectrum and its
-# transform take 32 bytes per row and lattice cell, so a whole batch at once
-# would dominate a run's peak memory. Rows transform independently, so the
-# block size does not change a single bit of the output.
+# Rows per FFT block in the circulant embedding: the half spectrum (n + 1
+# complex values, 16 bytes per row and lattice cell), the conjugate copy that
+# `hfft` makes of it and its real 2n-point transform take about 48 bytes per
+# row and lattice cell, so a whole batch at once would dominate a run's peak
+# memory. Rows transform independently, so the block size does not change a
+# single bit of the output.
 _FFT_ROWS = 64
 
 
@@ -135,20 +138,24 @@ def _fgn_from_embedding_batch(eig: np.ndarray, draws: np.ndarray) -> np.ndarray:
 
     `draws` has shape (R, 2n). Draw layout is fixed: draws[:, 0] feeds
     frequency 0, draws[:, 2k-1] and draws[:, 2k] feed frequency k for
-    1 <= k < n, draws[:, 2n-1] feeds frequency n.
+    1 <= k < n, draws[:, 2n-1] feeds frequency n. The spectrum is Hermitian,
+    so only its n + 1 nonnegative frequencies are built and `hfft` returns
+    the transform of the whole 2n-point signal.
     """
     reps, m = draws.shape
     n = m // 2
-    half = np.sqrt(0.5 * eig[1:n])
+    scale = np.sqrt(eig[: n + 1] / m)
+    scale[1:n] *= np.sqrt(0.5)
+    # frequencies 0 and n stay real: their imaginary parts are never written
+    half = np.zeros((min(reps, _FFT_ROWS), n + 1), dtype=complex)
     out = np.empty((reps, n))
     for start in range(0, reps, _FFT_ROWS):
         block = draws[start : start + _FFT_ROWS]
-        spectrum = np.zeros((len(block), m), dtype=complex)
-        spectrum[:, 0] = np.sqrt(eig[0]) * block[:, 0]
-        spectrum[:, n] = np.sqrt(eig[n]) * block[:, -1]
-        spectrum[:, 1:n] = half * (block[:, 1 : m - 2 : 2] + 1j * block[:, 2 : m - 1 : 2])
-        spectrum[:, n + 1 :] = np.conj(spectrum[:, 1:n][:, ::-1])
-        out[start : start + len(block)] = (np.fft.fft(spectrum, axis=1) / np.sqrt(m)).real[:, :n]
+        spectrum = half[: len(block)]
+        np.multiply(block[:, :1], scale[:1], out=spectrum.real[:, :1])
+        np.multiply(block[:, 1::2], scale[1:], out=spectrum.real[:, 1:])
+        np.multiply(block[:, 2::2], scale[1:n], out=spectrum.imag[:, 1:n])
+        out[start : start + len(block)] = np.fft.hfft(spectrum, n=m, axis=1)[:, :n]
     return out
 
 
@@ -232,7 +239,8 @@ def sample_state_batch(spec: ProcessSpec, base: RandomStream, rep_ids) -> np.nda
             for r, row in enumerate(draws):
                 d_fbm[r] = factor @ row
 
-    d_mix = d_bm + d_fbm
+    # in place; addition commutes, so this is d_bm + d_fbm bit for bit
+    d_mix = np.add(d_fbm, d_bm, out=d_fbm)
     # the filter stage sets the batch's peak memory: hold no input arrays through it
     del d_bm, d_fbm
     state = np.empty((reps, n + 1))

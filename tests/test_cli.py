@@ -137,6 +137,40 @@ def test_non_finite_value_exit_code(tmp_path, capsys, argv, key):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "--set", "cells=4"],
+        ["simulate", "--set", "cells=7"],
+        ["estimate", "--set", "cells=2"],
+        ["cgf", "--set", "cells=4"],
+        ["experiment", "--kind", "normality", "--set", "cells=4"],
+    ],
+)
+def test_cells_below_minimum_exit_code(tmp_path, capsys, argv):
+    # a grid needs MIN_CELLS = 8 cells: rejected as config, not as a numerical failure
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "bad value for 'cells'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_cells_per_unit_below_minimum_exit_code(tmp_path, capsys):
+    argv = ["experiment", "--kind", "cgf", "--set", "T=1.0", "--set", "cells_per_unit=4",
+            "--set", "reps=4", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_CONFIG
+    assert "gives 4 cells at T=1.0, need at least 8" in capsys.readouterr().err
+
+
+def test_help_states_cell_minimum():
+    for command in ("simulate", "kernel", "estimate", "cgf", "experiment"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfou.cli", command, "--help"], capture_output=True, text=True
+        )
+        assert proc.returncode == 0
+        line = next(row for row in proc.stdout.splitlines() if row.strip().startswith("cells "))
+        assert "at least 8" in line
+
+
 def test_unknown_key_exit_code(capsys):
     assert main(["simulate", "--set", "bogus=1"]) == EXIT_CONFIG
     assert "unknown key 'bogus'" in capsys.readouterr().err

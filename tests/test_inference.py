@@ -165,3 +165,23 @@ def test_estimates_csv_contract(kernel_07, qv_07, tmp_path):
     assert float(row[ESTIMATE_COLUMNS.index("theta_hat")]) == pytest.approx(
         records[0].theta_hat
     )
+
+
+def test_triangular_z_matches_dense_product(kernel_07):
+    spec = ProcessSpec(0.7, 1.0, kernel_07.grid)
+    states = sample_state_batch(spec, RandomStream(32), range(70))
+    z = compute_Z_batch(states, kernel_07)
+    dense = np.diff(states, axis=1) @ kernel_07.matrix.T
+    assert np.all(z[:, 0] == 0.0)
+    assert np.max(np.abs(z[:, 1:] - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+def test_denominator_matches_two_sided_trapezoid(kernel_07, qv_07):
+    spec = ProcessSpec(0.7, 1.0, kernel_07.grid)
+    states = sample_state_batch(spec, RandomStream(33), range(70))
+    z = compute_Z_batch(states, kernel_07)
+    q, _ = compute_Q_batch(z, qv_07)
+    _, dens = sufficient_statistics_batch(q, z, qv_07)
+    q2 = q**2
+    trapezoid = (0.5 * (q2[:, :-1] + q2[:, 1:])) @ qv_07.bracket_increments()
+    assert np.max(np.abs(dens - trapezoid) / trapezoid) <= 1e-13

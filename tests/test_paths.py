@@ -92,12 +92,43 @@ def test_state_follows_euler_recursion():
     assert np.allclose(bundle.state, replay, atol=1e-12)
 
 
+def _fgn_full_spectrum(eig, draws):
+    # the circulant factor written out: the whole 2n-point Hermitian spectrum
+    # through one complex FFT
+    reps, m = draws.shape
+    n = m // 2
+    spectrum = np.zeros((reps, m), dtype=complex)
+    spectrum[:, 0] = np.sqrt(eig[0]) * draws[:, 0]
+    spectrum[:, n] = np.sqrt(eig[n]) * draws[:, -1]
+    spectrum[:, 1:n] = np.sqrt(0.5 * eig[1:n]) * (draws[:, 1 : m - 2 : 2] + 1j * draws[:, 2 : m - 1 : 2])
+    spectrum[:, n + 1 :] = np.conj(spectrum[:, 1:n][:, ::-1])
+    return (np.fft.fft(spectrum, axis=1) / np.sqrt(m)).real[:, :n]
+
+
+@pytest.mark.parametrize("n", [8, 9, 512])
+@pytest.mark.parametrize("hurst", [0.5, 0.7])
+def test_half_spectrum_matches_full_fft(n, hurst):
+    eig = paths._embedding_eigenvalues(n, hurst, 1.0 / n)
+    # 70 rows: a full FFT block and a partial one
+    draws = np.random.default_rng(n).standard_normal((70, 2 * n))
+    got = paths._fgn_from_embedding_batch(eig, draws)
+    want = _fgn_full_spectrum(eig, draws)
+    assert got.shape == (70, n)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize(
-    "hurst, fallback, fft_rows",
-    [(0.7, False, None), (1.0, False, None), (0.7, True, None), (0.7, False, 2)],
-    ids=["0.7", "1.0", "0.7-fallback", "0.7-fft-blocks"],
+    "hurst, fallback, fft_rows, reps",
+    [
+        (0.7, False, None, 3),
+        (1.0, False, None, 3),
+        (0.7, True, None, 3),
+        (0.7, False, 2, 3),
+        (0.7, False, None, 65),
+    ],
+    ids=["0.7", "1.0", "0.7-fallback", "0.7-fft-blocks", "0.7-65-rows"],
 )
-def test_batch_rows_equal_single_paths(hurst, fallback, fft_rows, monkeypatch):
+def test_batch_rows_equal_single_paths(hurst, fallback, fft_rows, reps, monkeypatch):
     if fallback:
         # reject the circulant embedding: both paths take the Cholesky branch
         monkeypatch.setattr(paths, "_embedding_eigenvalues", lambda *args: None)
@@ -106,9 +137,10 @@ def test_batch_rows_equal_single_paths(hurst, fallback, fft_rows, monkeypatch):
         monkeypatch.setattr(paths, "_FFT_ROWS", fft_rows)
     spec = _spec(hurst, cells=32)
     base = RandomStream(77)
-    rep_ids = [9, 0, 3]
+    # 65 rows fill one FFT block of _FFT_ROWS = 64 and start a second
+    rep_ids = [9, 0, 3] if reps == 3 else list(range(reps))
     batch = sample_state_batch(spec, base, rep_ids)
-    assert batch.shape == (3, 33)
+    assert batch.shape == (reps, 33)
     for row, rep in zip(batch, rep_ids):
         single = sample_mixed_path(spec, base.child(rep)).state
         assert np.array_equal(row, single)
