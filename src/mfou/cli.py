@@ -513,9 +513,10 @@ def _cmd_experiment(args, typed) -> int:
     if args.verbose:
         _print_diagnostics(f"{report.name} kernels", report.manifest["diagnostics"])
         if report.name == "cgf":
-            estimates = [c["liouville_error_estimate"] for c in report.manifest["cells"]]
-            worst = max((e for e in estimates if math.isfinite(e)), default=math.nan)
-            _print_diagnostics("cgf determinant route", {"worst_error_estimate": worst})
+            for route, label in (("riccati", "trace"), ("liouville", "determinant")):
+                estimates = [c[f"{route}_error_estimate"] for c in report.manifest["cells"]]
+                worst = max((e for e in estimates if math.isfinite(e)), default=math.nan)
+                _print_diagnostics(f"cgf {label} route", {"worst_error_estimate": worst})
     for path in written:
         print(path)
     print(f"{report.name}: pass={'true' if report.passed else 'false'}")

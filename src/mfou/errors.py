@@ -76,26 +76,11 @@ class PsiNotPositive(NumericalError):
 
 
 class BlowUp(NumericalError):
-    """ODE state exceeded the magnitude guard; `time` is the blow-up time."""
+    """An ODE route reached a finite-time singularity; `time` is where it was detected."""
 
-    def __init__(self, time: float, magnitude: float):
+    def __init__(self, time: float, reason: str):
         self.time = float(time)
-        self.magnitude = float(magnitude)
-        super().__init__(f"solution magnitude {magnitude:.3e} at t={time:.6g}")
-
-
-class StepNotConverged(NumericalError):
-    """An ODE grid interval missed the local-error test after `halvings` substep halvings."""
-
-    def __init__(self, time: float, halvings: int, change: float, bound: float):
-        self.time = float(time)
-        self.halvings = int(halvings)
-        self.change = float(change)
-        self.bound = float(bound)
-        super().__init__(
-            f"interval at t={time:.6g}: refinement change {change:.3e} exceeds {bound:.3e} "
-            f"after {halvings} halvings"
-        )
+        super().__init__(f"{reason} at t={time:.6g}")
 
 
 class NonPositiveDet(NumericalError):

@@ -24,6 +24,8 @@ import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dgemm
 from scipy.special import ndtr, ndtri
 from scipy.stats import beta as _beta
 
@@ -40,7 +42,7 @@ from .ldp import (
     tail_rate_printed,
 )
 from .numerics import RandomStream, TimeGrid
-from .paths import ProcessSpec, sample_state_batch
+from .paths import ProcessSpec, fgn_covariance_matrix, sample_state_batch
 from .riccati import k_T_via_liouville, k_T_via_riccati, solve_riccati
 from .transform import build_kernel, quadratic_variation
 
@@ -240,46 +242,75 @@ class ExperimentReport:
 
 @dataclass(frozen=True)
 class _CellDraws:
-    """Estimator statistics for one (H, T, drift) cell."""
+    """Estimates for one (H, T, drift) cell; `weights` once weighed to another drift."""
 
-    numerators: np.ndarray
-    denominators: np.ndarray
     theta_hat: np.ndarray
     failures: int
     reps: int
+    weights: np.ndarray | None = None
 
     @property
     def attrition(self) -> float:
         return self.failures / self.reps
 
 
-def _collect_cell(config: ExperimentConfig, spec: ProcessSpec, kernel, qv, key) -> _CellDraws:
+def _chain_precision(spec: ProcessSpec) -> np.ndarray:
+    """Inverse innovation covariance of the sampled Euler chain, zero-padded to cells + 1.
+
+    Under any drift theta the innovations dX + theta dt X_left of
+    `sample_state_batch` are N(0, Sigma) with Sigma = dt I plus the fGn
+    covariance, so the chain's log-likelihood is -theta a - theta^2/2 b +
+    const with a = dt X_left' Sigma^{-1} dX and b = dt^2 X_left' Sigma^{-1}
+    X_left. The zero last row and column drop X_T from X_left.
+    """
+    n, dt = spec.grid.cells, spec.grid.dt
+    sigma = fgn_covariance_matrix(n, spec.hurst, dt)
+    sigma[np.diag_indices(n)] += dt
+    padded = np.zeros((n + 1, n + 1))
+    padded[:n, :n] = cho_solve(cho_factor(sigma), np.eye(n))
+    return padded
+
+
+def _chain_statistics(states: np.ndarray, precision: np.ndarray, dt: float):
+    """(a, b) of the chain's log-likelihood for every row of a state batch."""
+    # one product on the Fortran views of the symmetric precision and of the
+    # states, so neither is copied; row r of y is Sigma^{-1} X_left, then 0
+    y = dgemm(1.0, precision.T, states.T).T
+    quad = np.einsum("rk,rk->r", y, states)
+    ahead = np.einsum("rk,rk->r", y[:, :-1], states[:, 1:])
+    return dt * (ahead - quad), dt * dt * quad
+
+
+def _collect_cell(
+    config: ExperimentConfig, spec: ProcessSpec, kernel, qv, key, weigh_to: float | None = None
+) -> _CellDraws:
+    """Draw one cell; with `weigh_to`, also each path's chain likelihood ratio to that drift."""
     base = RandomStream(master_seed=config.master_seed, key=tuple(key))
-    nums, dens = [], []
+    precision = None if weigh_to is None else _chain_precision(spec)
+    stats = []
     for lo in range(0, config.reps, _CHUNK):
         ids = range(lo, min(lo + _CHUNK, config.reps))
         states = sample_state_batch(spec, base, ids)
-        n_, d_ = path_statistics_batch(states, kernel, qv)
-        nums.append(np.asarray(n_, dtype=float))
-        dens.append(np.asarray(d_, dtype=float))
-    num = np.concatenate(nums)
-    den = np.concatenate(dens)
+        chunk = path_statistics_batch(states, kernel, qv)
+        if precision is not None:
+            a, b = _chain_statistics(states, precision, spec.grid.dt)
+            chunk += (_importance_weights(weigh_to, spec.theta, a, b),)
+        stats.append(chunk)
+    num, den, *weights = (np.concatenate(column) for column in zip(*stats))
     good = np.isfinite(num) & np.isfinite(den) & (den > DEGENERATE_DENOMINATOR)
-    theta_hat = -num[good] / den[good]
     return _CellDraws(
-        numerators=num[good],
-        denominators=den[good],
-        theta_hat=theta_hat,
+        theta_hat=-num[good] / den[good],
         failures=int(config.reps - int(np.count_nonzero(good))),
         reps=config.reps,
+        weights=weights[0][good] if weights else None,
     )
 
 
-def _importance_weights(theta_target: float, theta_sim: float, draws: _CellDraws) -> np.ndarray:
-    """Per-replication dP(theta_target)/dP(theta_sim) from sufficient statistics."""
-    lw = (theta_sim - theta_target) * draws.numerators + 0.5 * (
+def _importance_weights(theta_target: float, theta_sim: float, a, b) -> np.ndarray:
+    """Per-path dP(theta_target)/dP(theta_sim) for a likelihood exp(-theta a - theta^2/2 b)."""
+    lw = (theta_sim - theta_target) * a + 0.5 * (
         theta_sim * theta_sim - theta_target * theta_target
-    ) * draws.denominators
+    ) * b
     return np.exp(lw)
 
 
@@ -440,9 +471,8 @@ def _tail_cell_estimates(config, draws, tilted, gamma):
         }
     )
     if tilted is not None:
-        w = _importance_weights(config.theta, config.tilt, tilted)
         ind_t = (tilted.theta_hat > lo) & (tilted.theta_hat < hi)
-        terms = w * ind_t
+        terms = tilted.weights * ind_t
         n_t = tilted.theta_hat.size
         p_t = min(max(float(np.mean(terms)), 0.0), 1.0)
         se = float(np.std(terms, ddof=1)) / math.sqrt(n_t)
@@ -459,6 +489,8 @@ def _tail_cell_estimates(config, draws, tilted, gamma):
                 "ci": ci_t,
                 "var_logp": var_logp_t,
                 "insufficient": hits_t < MIN_HITS,
+                "weight_mean": float(np.mean(tilted.weights)),
+                "weight_ess": float(np.sum(tilted.weights)) ** 2 / float(np.sum(tilted.weights**2)),
             }
         )
     return out
@@ -490,7 +522,9 @@ def _scan_tails(config: ExperimentConfig, exp_id: int, gammas, built: list):
             tilted = None
             if config.tilt is not None:
                 spec_t = ProcessSpec(hurst=hurst, theta=config.tilt, grid=grid)
-                tilted = _collect_cell(config, spec_t, kernel, qv, (exp_id, h_idx, t_idx, 1))
+                tilted = _collect_cell(
+                    config, spec_t, kernel, qv, (exp_id, h_idx, t_idx, 1), config.theta
+                )
             attrition = max(
                 draws.attrition, tilted.attrition if tilted is not None else 0.0
             )
@@ -553,11 +587,11 @@ def run_tail_slopes(config: ExperimentConfig) -> ExperimentReport:
 
     Per (H, tail, T) cell: hit count, exact binomial interval, and when a
     tilt is configured an importance-sampled estimate weighted back to the
-    base drift; thin cells (under 20 hits) fall back to the tilted estimate
-    and are flagged. Per (H, tail): weighted least-squares slope of log p
-    against T, raw and with the 0.5*log T prefactor removed, next to the
-    closed-form reference rates: the two-branch printed formula read at -x
-    and the numeric infimum in the estimator's coordinate b = +x*a.
+    base drift by the sampled chain's likelihood ratio; thin cells (under 20
+    hits) fall back to the tilted estimate and are flagged. Per (H, tail):
+    weighted least-squares slope of log p against T, raw and with the
+    0.5*log T prefactor removed, next to the closed-form reference rates: the
+    two-branch printed formula read at -x and the numeric infimum in b = +x*a.
     """
     if not config.tails:
         raise ConfigError("tail slope study needs at least one tail interval")
@@ -703,9 +737,10 @@ def run_cgf_convergence(config: ExperimentConfig) -> ExperimentReport:
                         )
                     except NumericalError as exc:
                         errors[route] = f"{type(exc).__name__}: {exc}"
-                k_ric = float(results.get("riccati", math.nan))
-                k_lio = lio_estimate = k_mc = mc_se = math.nan
+                k_ric = ric_estimate = k_lio = lio_estimate = k_mc = mc_se = math.nan
                 unreliable = False
+                if "riccati" in results:
+                    k_ric, ric_estimate = float(results["riccati"]), results["riccati"].error
                 if "liouville" in results:
                     k_lio, lio_estimate = float(results["liouville"]), results["liouville"].error
                 if "mc" in results:
@@ -745,6 +780,7 @@ def run_cgf_convergence(config: ExperimentConfig) -> ExperimentReport:
                         "mc_stderr": mc_se,
                         "k_limit": lim,
                         **{f"{name}_error": err for name, err in errors.items()},
+                        "riccati_error_estimate": ric_estimate,
                         "liouville_error_estimate": lio_estimate,
                         "blowup": blowup,
                     }

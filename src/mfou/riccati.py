@@ -8,25 +8,29 @@ matrices built from psi(t) alone:
 
 satisfying R = J A and B = A J with J the off-diagonal flip. The tilt CGF
 K_T(mu) = (1/T) log E exp(-mu int_0^T Q^2 d<M>) then has two deterministic
-routes.
+routes, both with psi linear between the bracket-table nodes. Both go
+through the linear pair Y = [Psi_1 Psi_2] with Y' = Y H from [I 0],
 
-The trace route integrates the matrix Riccati equation
+    H = [[(theta/2) A, B], [(mu/2) R, -(theta/2) A^T]],
 
-    K_T = -(mu/4T) int_0^T tr(Gamma R) dt,
+whose columns separate like e^{4 lam T}, so neither integrates Y itself.
+
+The trace route is K_T = -(mu/4T) int_0^T tr(Gamma R) dt, composite
+Simpson over the nodes, for the Riccati solution Gamma = Psi_1^{-1} Psi_2,
+
     Gamma' = -(theta/2)(A Gamma + Gamma A^T) - (mu/2) Gamma R Gamma + B,
+    Gamma(0) = 0.
 
-from Gamma(0) = 0 with classical RK4 on the bracket-table grid (psi
-linear between the nodes), halving steps until successive refinements
-agree to LOCAL_ERROR relative to the state's size (absolute below size 1);
-an interval that still disagrees after MAX_HALVINGS raises
-StepNotConverged. The trace integral is the trapezoid rule over the nodes.
+Each grid interval has a 4 x 4 transfer matrix Phi, Y(t + h) = Y(t) Phi,
+and Gamma advances by its Moebius map (Schiff & Shnider, SIAM J. Numer.
+Anal. 36, 1999), Gamma <- (Phi_11 + Gamma Phi_21)^{-1} (Phi_12 + Gamma Phi_22).
+The matrix inverted is Psi_1(t)^{-1} Psi_1(t + h), so its determinant
+turns non-positive exactly where Psi_1 turns singular and Gamma blows up:
+the finite-time singularity outside mu > -theta^2/2.
 
-The determinant route is Liouville's formula for the linearized pair
-Psi_1' = (theta/2) Psi_1 A + (mu/2) Psi_2 R, Psi_2' = Psi_1 B -
-(theta/2) Psi_2 A^T from (I, 0), whose ratio Psi_1^{-1} Psi_2 is Gamma:
-K_T = -(1/2T) log det Psi_1(T) + theta/2. The pair itself is never
-integrated, because its columns separate like e^{4 lam T}. With
-lam = sqrt(theta^2/4 + mu/2) and a_+- = theta/2 +- lam (so a_+ a_- = -mu/2),
+The determinant route is Liouville's formula, K_T = -(1/2T) log det
+Psi_1(T) + theta/2. With lam = sqrt(theta^2/4 + mu/2) and
+a_+- = theta/2 +- lam (so a_+ a_- = -mu/2),
 
     Psi_1 = a_+ Upsilon_1 + a_- Upsilon_2,  Psi_2 = (Upsilon_1 + Upsilon_2) J,
     Upsilon_1' = lam Upsilon_1 A,  Upsilon_2' = -lam Upsilon_2 A,
@@ -50,28 +54,38 @@ where the last bracket is O(1). M itself solves M' = lam (A M + M A) from
 M(0) = -I (see solve_M_equation), and its trace obeys the envelope
 |tr M(t)| <= 2 exp(4 lam t + TV_0^t log psi), attained at t = 0.
 
-A has eigenvalues {0, 2}, so A^2 = 2A. M advances by the two-point Gauss fourth-order Magnus step (Blanes, Casas, Oteo & Ros,
-Phys. Rep. 470, 2009), M <- e^{Omega_L} M e^{Omega_R}: with A_k = A(psi at
-the Gauss points t + (1/2 -+ sqrt(3)/6) h) and K(psi) = A(psi) - I,
+Both routes step with the two-point Gauss fourth-order Magnus method
+(Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 2009): with H_k at the Gauss
+points t + (1/2 -+ sqrt(3)/6) h, Y(t + h) = Y(t) e^{Omega},
+
+    Omega = (h/2)(H_1 + H_2) - (sqrt(3) h^2/12)[H_2, H_1].
+
+The trace route takes every Phi = e^{Omega} from one batched expm call.
+A has eigenvalues {0, 2}, so A^2 = 2A, and M advances by the closed-form
+step M <- e^{Omega_L} M e^{Omega_R}: with A_k = A(psi_k), K = A - I,
 
     Omega_L,R = lam h I + (lam h/2)(K_1 + K_2) +- (sqrt(3) lam^2 h^2/12)[A_2, A_1],
     [A_2, A_1] = (psi_1/psi_2 - psi_2/psi_1) diag(1, -1).
 
 The traceless part N of Omega has N^2 = s^2 I, so by Cayley-Hamilton
 e^{Omega} = e^{lam h} (cosh s I + (sinh s / s) N), built for every
-interval in one array pass; for frozen psi the step is exact. The
-route's contract is an a-posteriori error estimate: the same product with
-two steps per interval gives the step-doubling estimate of tr M(T)
-e^{-4 lam T}, which k_T_via_liouville carries to K_T and checks against
-LIOUVILLE_ERROR_BOUND, raising ResidualTooLarge past it.
+interval in one array pass; for frozen psi the step is exact.
+
+Both routes have one contract, a step-doubling estimate of the ODE solve:
+the same product with two Magnus steps per interval gives K_T again, 16/15
+of the change is the returned value's `error`, and past ROUTE_ERROR_BOUND
+the route raises ResidualTooLarge. The trace route's quadrature error is
+not part of it; the gap between the routes shows it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
 from .errors import (
     BlowUp,
@@ -79,15 +93,11 @@ from .errors import (
     NonPositiveDet,
     PsiNotPositive,
     ResidualTooLarge,
-    StepNotConverged,
 )
-from .numerics import TimeGrid, trapezoid_integral
+from .numerics import TimeGrid
 from .transform import QVTable
 
-LOCAL_ERROR = 1e-8
-MAX_HALVINGS = 6
-BLOWUP_MAGNITUDE = 1e12
-LIOUVILLE_ERROR_BOUND = 1e-6
+ROUTE_ERROR_BOUND = 1e-6
 TRACE_BOUND_CONST = 2.0  # |tr M(0)|
 
 _I2 = np.eye(2)
@@ -99,14 +109,13 @@ _EPS = float(np.finfo(float).eps)
 class RiccatiRun:
     """One ODE integration over the bracket grid; unused trajectories stay None."""
 
-    hurst: float
     grid: TimeGrid
     times: np.ndarray
     theta: float | None = None
     mu: float | None = None
-    lam: float | None = None
     gamma: np.ndarray | None = None
     trace_gamma_r: np.ndarray | None = None
+    trace_gamma_r_fine: np.ndarray | None = None
     log_scale: np.ndarray | None = None
     m_traj: np.ndarray | None = None
     trace_bound_ratios: np.ndarray | None = None
@@ -125,132 +134,120 @@ class RouteValue(float):
         return self
 
 
-def _matrices(psi: float):
-    a = np.array([[1.0, 1.0 / psi], [psi, 1.0]])
-    b = np.array([1.0 / math.sqrt(psi), math.sqrt(psi)])
-    r = np.array([[psi, 1.0], [1.0, 1.0 / psi]])
-    return a, b, r, np.outer(b, b)
+def _psi_prefix(qv: QVTable, horizon: float | None):
+    """Nodes and psi values on [0, horizon]; psi must be positive there."""
+    stop = qv.grid.cells if horizon is None else qv.grid.index_of(horizon)
+    times, psi = qv.grid.nodes[: stop + 1], qv.psi_diag[: stop + 1]
+    if np.any(psi <= 0.0):
+        raise PsiNotPositive(f"min psi on [0, {times[-1]:.6g}] = {float(np.min(psi)):.3e}")
+    return times, psi
 
 
-def _psi_interp(qv: QVTable):
-    nodes = qv.grid.nodes
-    table = qv.psi_diag
-
-    def psi(t: float) -> float:
-        return float(np.interp(t, nodes, table))
-
-    return psi
+def _gauss_points(psi: np.ndarray, substeps: int) -> np.ndarray:
+    """psi (linear between nodes) at both Gauss points of `substeps` equal substeps per cell."""
+    weights = (np.arange(substeps)[:, None] + np.array(_GAUSS)) / substeps
+    return psi[:-1, None, None] + (psi[1:] - psi[:-1])[:, None, None] * weights
 
 
-def _rk4_step(f, t: float, y: np.ndarray, h: float) -> np.ndarray:
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _hamiltonian(theta: float, mu: float, psi: np.ndarray) -> np.ndarray:
+    """H = [[(theta/2) A, B], [(mu/2) R, -(theta/2) A^T]] for every entry of psi."""
+    inv, ht, hm = 1.0 / psi, 0.5 * theta, 0.5 * mu
+    rows = (
+        (ht, ht * inv, inv, 1.0),
+        (ht * psi, ht, 1.0, psi),
+        (hm * psi, hm, -ht, -ht * psi),
+        (hm, hm * inv, -ht * inv, -ht),
+    )
+    return np.stack([np.stack(np.broadcast_arrays(*row), axis=-1) for row in rows], axis=-2)
 
 
-def _advance(f, t0: float, y0: np.ndarray, h_total: float) -> np.ndarray:
-    """One Riccati grid interval, halving the substep until refinements agree.
+def _gamma_paths(theta: float, mu: float, times: np.ndarray, psi: np.ndarray, substeps):
+    """Gamma at every node, one trajectory per count of Magnus steps per interval.
 
-    A refinement is accepted when max|y_fine - y_coarse| <= LOCAL_ERROR *
-    max(1, max|y_coarse|). A non-finite state is returned at once for the
-    caller's BlowUp check; an interval still unconverged after MAX_HALVINGS
-    raises StepNotConverged.
+    Returns shape (len(substeps), cells + 1, 2, 2); every Gauss-4 Magnus
+    exponential comes from one expm call. Raises BlowUp with the start of
+    the first interval where det(Phi_11 + Gamma Phi_21) is not positive:
+    Psi_1 turns singular inside it.
     """
-    prev = None
-    for level in range(MAX_HALVINGS + 1):
-        sub = 2**level
-        h = h_total / sub
-        y = y0
-        for i in range(sub):
-            y = _rk4_step(f, t0 + i * h, y, h)
-        if prev is not None:
-            if not np.all(np.isfinite(y)):
-                return y
-            change = float(np.max(np.abs(y - prev)))
-            bound = LOCAL_ERROR * max(1.0, float(np.max(np.abs(prev))))
-            if change <= bound:
-                return y
-        prev = y
-    raise StepNotConverged(time=t0, halvings=MAX_HALVINGS, change=change, bound=bound)
+    omegas = []
+    for count in substeps:
+        points = _gauss_points(psi, count)
+        h1, h2 = _hamiltonian(theta, mu, points[..., 0]), _hamiltonian(theta, mu, points[..., 1])
+        k = (times[1] - times[0]) / count
+        omegas.append(0.5 * k * (h1 + h2) - (math.sqrt(3.0) / 12.0) * k * k * (h2 @ h1 - h1 @ h2))
+    exps = np.split(expm(np.concatenate(omegas, axis=1)), np.cumsum(substeps)[:-1], axis=1)
+    phi = np.stack([functools.reduce(np.matmul, e.swapaxes(0, 1)) for e in exps])
+    gamma = np.zeros((len(substeps), len(times), 2, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(len(times) - 1):
+            p = phi[:, j, :2, :2] + gamma[:, j] @ phi[:, j, 2:, :2]
+            q = phi[:, j, :2, 2:] + gamma[:, j] @ phi[:, j, 2:, 2:]
+            if not np.all(p[:, 0, 0] * p[:, 1, 1] - p[:, 0, 1] * p[:, 1, 0] > 0.0):
+                raise BlowUp(float(times[j]), "Psi_1 turns singular within the step")
+            g = np.linalg.solve(p, q)
+            gamma[:, j + 1] = 0.5 * (g + g.swapaxes(1, 2))
+    return gamma
 
 
-def _check_magnitude(y: np.ndarray, t: float) -> None:
-    m = float(np.max(np.abs(y))) if np.all(np.isfinite(y)) else math.inf
-    if m > BLOWUP_MAGNITUDE:
-        raise BlowUp(time=t, magnitude=m)
-
-
-def _stop_index(qv: QVTable, horizon: float | None) -> int:
-    if horizon is None:
-        return qv.grid.cells
-    return qv.grid.index_of(horizon)
+def _simpson_weights(cells: int, dt: float) -> np.ndarray:
+    """Composite Simpson node weights on `cells` equal cells; an odd count ends in the 3/8 rule."""
+    if cells == 1:
+        return np.full(2, 0.5 * dt)
+    even = cells - 3 * (cells % 2)
+    w = np.zeros(cells + 1)
+    if even:
+        w[1:even:2], w[2:even:2], w[0], w[even] = 4.0, 2.0, 1.0, 1.0
+        w *= dt / 3.0
+    if even < cells:
+        w[even:] += (3.0 * dt / 8.0) * np.array([1.0, 3.0, 3.0, 1.0])
+    return w
 
 
 def solve_riccati(theta: float, mu: float, qv: QVTable, horizon: float | None = None) -> RiccatiRun:
     """Gamma trajectory of the matrix Riccati equation on [0, horizon].
 
-    Starts from Gamma(0) = 0; every accepted step is re-symmetrized. Raises
-    BlowUp with the first time an entry passes BLOWUP_MAGNITUDE, which is
-    the expected outcome for tilts outside mu > -theta^2/2. There the solution has a finite-time
-    singularity, and the steepening approach to it defeats the step control
-    first: outside that domain an unconverged interval is reported as BlowUp
-    at its start, chained from StepNotConverged.
+    Moebius steps of the Gauss-4 Magnus transfer matrices from Gamma(0) = 0
+    (module docstring), with one Magnus step per interval (gamma,
+    trace_gamma_r) and with two (trace_gamma_r_fine, for the error
+    estimate). Raises BlowUp at the first interval where Psi_1 turns
+    singular, the expected outcome for tilts outside mu > -theta^2/2.
     """
-    stop = _stop_index(qv, horizon)
-    times = qv.grid.nodes[: stop + 1]
-    dt = qv.grid.dt
-    psi = _psi_interp(qv)
-    half_theta = 0.5 * theta
-    half_mu = 0.5 * mu
-
-    def f(t: float, g: np.ndarray) -> np.ndarray:
-        a, _, r, b_mat = _matrices(psi(t))
-        out = -half_theta * (a @ g + g @ a.T) + b_mat
-        if mu != 0.0:
-            out = out - half_mu * (g @ r @ g)
-        return out
-
-    gamma = np.zeros((stop + 1, 2, 2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(stop):
-            try:
-                y = _advance(f, times[j], gamma[j], dt)
-            except StepNotConverged as exc:
-                if mu > -half_theta * theta:
-                    raise
-                raise BlowUp(time=times[j], magnitude=float(np.max(np.abs(gamma[j])))) from exc
-            y = 0.5 * (y + y.T)
-            _check_magnitude(y, times[j + 1])
-            gamma[j + 1] = y
-
-    p = qv.psi_diag[: stop + 1]
+    times, psi = _psi_prefix(qv, horizon)
+    gamma = _gamma_paths(theta, mu, times, psi, (1, 2))
     # tr(Gamma R) with Gamma symmetric
-    trace = gamma[:, 0, 0] * p + 2.0 * gamma[:, 0, 1] + gamma[:, 1, 1] / p
+    trace = gamma[..., 0, 0] * psi + 2.0 * gamma[..., 0, 1] + gamma[..., 1, 1] / psi
     return RiccatiRun(
-        hurst=qv.hurst,
         grid=qv.grid,
         times=times,
         theta=theta,
         mu=mu,
-        gamma=gamma,
-        trace_gamma_r=trace,
+        gamma=gamma[0],
+        trace_gamma_r=trace[0],
+        trace_gamma_r_fine=trace[1],
     )
 
 
-def k_T_via_riccati(run: RiccatiRun, horizon: float | None = None) -> float:
-    """K_T = -(mu/4T) int_0^T tr(Gamma R) dt by trapezoid over the run's nodes."""
+def k_T_via_riccati(run: RiccatiRun, horizon: float | None = None) -> RouteValue:
+    """K_T = -(mu/4T) int_0^T tr(Gamma R) dt by composite Simpson over the run's nodes.
+
+    The same sum over the two-step trajectory gives the step-doubling
+    estimate of the ODE solve's error (not the quadrature's), 16/15 of the
+    change: the returned value's `error`, past ROUTE_ERROR_BOUND a
+    ResidualTooLarge.
+    """
     if run.mu == 0.0:
-        return 0.0
+        return RouteValue(0.0, 0.0)
     stop = len(run.times) - 1
     if horizon is not None:
         stop = run.grid.index_of(horizon)
         if stop > len(run.times) - 1:
             raise ValueError(f"run stops at t={run.times[-1]:.6g}, requested {horizon}")
-    t_end = float(run.times[stop])
-    integral = trapezoid_integral(run.trace_gamma_r[: stop + 1], np.diff(run.times[: stop + 1]))
-    return -(run.mu / (4.0 * t_end)) * integral
+    weights = -run.mu / (4.0 * float(run.times[stop])) * _simpson_weights(stop, run.grid.dt)
+    value = float(weights @ run.trace_gamma_r[: stop + 1])
+    error = (16.0 / 15.0) * abs(float(weights @ run.trace_gamma_r_fine[: stop + 1]) - value)
+    if not error <= ROUTE_ERROR_BOUND:
+        raise ResidualTooLarge(error, ROUTE_ERROR_BOUND, "trace route error estimate")
+    return RouteValue(value, error)
 
 
 def k_T_via_liouville(
@@ -261,7 +258,7 @@ def k_T_via_liouville(
     K_T = theta/2 - lam + (log 4 lam^2 - log(a_+^2 + a_+ a_- tau + a_-^2
     e^{-4 lam T}))/(2T) with tau = tr M(T) e^{-4 lam T} (module docstring).
     The run's step-doubling estimate of tau, carried through that formula,
-    is the returned value's `error`; past LIOUVILLE_ERROR_BOUND it raises
+    is the returned value's `error`; past ROUTE_ERROR_BOUND it raises
     ResidualTooLarge. At mu = -theta^2/2 (lam = 0) the split degenerates
     and the bracket is 0: NonPositiveDet.
     """
@@ -277,8 +274,8 @@ def k_T_via_liouville(
         raise NonPositiveDet(f"det Psi1(T) split bracket = {bracket:.3e} at lam = {lam:.3e}")
     value = 0.5 * theta - lam + (2.0 * math.log(2.0 * lam) - math.log(bracket)) / (2.0 * t_end)
     error = abs(a_plus * a_minus) * run.trace_error / (2.0 * t_end * bracket)
-    if not error <= LIOUVILLE_ERROR_BOUND:
-        raise ResidualTooLarge(error, LIOUVILLE_ERROR_BOUND, "determinant route error estimate")
+    if not error <= ROUTE_ERROR_BOUND:
+        raise ResidualTooLarge(error, ROUTE_ERROR_BOUND, "determinant route error estimate")
     return RouteValue(value, error)
 
 
@@ -294,14 +291,11 @@ def eigen_split(theta: float, mu: float) -> tuple[float, float, float]:
 def _magnus_factors(lam: float, psi: np.ndarray, substeps: int, h: float):
     """Traceless-part exponentials of every Gauss-4 Magnus substep, in one array pass.
 
-    psi holds the node values (linear in between); each interval is cut into
-    `substeps` substeps of length k = h/substeps. Returns (F_L, F_R), each of
-    shape (cells * substeps, 2, 2), with e^{Omega} = e^{lam k} F for the left
-    and the right action.
+    Each interval takes `substeps` substeps of length k = h/substeps.
+    Returns (F_L, F_R), each of shape (cells * substeps, 2, 2), with
+    e^{Omega} = e^{lam k} F for the left and the right action.
     """
-    weights = (np.arange(substeps)[:, None] + np.array(_GAUSS)) / substeps  # (substeps, 2)
-    left, right = psi[:-1, None, None], psi[1:, None, None]
-    points = (left + (right - left) * weights).reshape(-1, 2)
+    points = _gauss_points(psi, substeps).reshape(-1, 2)
     p1, p2 = points[:, 0], points[:, 1]
     k = h / substeps
     beta = 0.5 * lam * k * (1.0 / p1 + 1.0 / p2)
@@ -311,7 +305,7 @@ def _magnus_factors(lam: float, psi: np.ndarray, substeps: int, h: float):
     cosh = np.cosh(s)
     sinhc = np.sinh(s) / np.where(s > 0.0, s, 1.0)  # N = 0 where s = 0
 
-    def expm(d, b, c):
+    def factor(d, b, c):
         out = np.empty((len(s), 2, 2))
         out[:, 0, 0] = cosh + sinhc * d
         out[:, 1, 1] = cosh - sinhc * d
@@ -319,17 +313,7 @@ def _magnus_factors(lam: float, psi: np.ndarray, substeps: int, h: float):
         out[:, 1, 0] = sinhc * c
         return out
 
-    return expm(delta, beta, gamma), expm(-delta, beta, gamma)
-
-
-def _ordered_product(factors: np.ndarray, left: bool) -> np.ndarray:
-    """F_{n-1} ... F_0 (left) or F_0 ... F_{n-1}, by pairwise products in log2(n) array passes."""
-    while len(factors) > 1:
-        if len(factors) % 2:
-            factors = np.concatenate((factors, _I2[None]))
-        first, second = factors[0::2], factors[1::2]
-        factors = second @ first if left else first @ second
-    return factors[0]
+    return factor(delta, beta, gamma), factor(-delta, beta, gamma)
 
 
 def solve_M_equation(lam: float, qv: QVTable, horizon: float | None = None) -> RiccatiRun:
@@ -363,33 +347,27 @@ def solve_M_equation(lam: float, qv: QVTable, horizon: float | None = None) -> R
     """
     if lam < 0.0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
-    stop = _stop_index(qv, horizon)
-    times = qv.grid.nodes[: stop + 1]
+    times, psi = _psi_prefix(qv, horizon)
+    stop = len(times) - 1
     dt = qv.grid.dt
-    psi = qv.psi_diag[: stop + 1]
-    if np.any(psi <= 0.0):
-        raise PsiNotPositive(f"min psi on [0, {times[-1]:.6g}] = {float(np.min(psi)):.3e}")
 
-    # stored scale e^{-4 lam t}; a step multiplies the true M by e^{2 lam dt}
-    # besides the F factors
+    # stored scale e^{-4 lam t}: a step multiplies the true M by e^{2 lam dt}
+    # besides the F factors. Both trajectories, with one and with two Magnus
+    # steps per interval, advance together.
     f_left, f_right = _magnus_factors(lam, psi, 1, dt)
-    decay = math.exp(-lam * dt)
-    f_left *= decay
-    f_right *= decay
-    m_traj = np.empty((stop + 1, 2, 2))
-    m_traj[0] = -_I2
-    for j in range(stop):
-        m_traj[j + 1] = f_left[j] @ m_traj[j] @ f_right[j]
-    if not np.all(np.isfinite(m_traj[-1])):
-        raise BlowUp(time=float(times[-1]), magnitude=math.inf)
-
     fine_left, fine_right = _magnus_factors(lam, psi, 2, dt)
-    half_decay = math.exp(-0.5 * lam * dt)
-    fine_m = -_ordered_product(fine_left * half_decay, left=True) @ _ordered_product(
-        fine_right * half_decay, left=False
-    )
+    decay = math.exp(-lam * dt)
+    left = decay * np.stack((f_left, fine_left[1::2] @ fine_left[0::2]))
+    right = decay * np.stack((f_right, fine_right[0::2] @ fine_right[1::2]))
+    m = np.empty((2, stop + 1, 2, 2))
+    m[:, 0] = -_I2
+    for j in range(stop):
+        m[:, j + 1] = left[:, j] @ m[:, j] @ right[:, j]
+    m_traj = m[0]
+    if not np.all(np.isfinite(m_traj[-1])):
+        raise BlowUp(float(times[-1]), "M(T) is not finite")
     tau = float(np.trace(m_traj[-1]))
-    trace_error = (16.0 / 15.0) * abs(float(np.trace(fine_m)) - tau)
+    trace_error = (16.0 / 15.0) * abs(float(np.trace(m[1, -1])) - tau)
     trace_error += stop * _EPS * float(np.max(np.abs(m_traj[-1])))
 
     traces = np.abs(np.trace(m_traj, axis1=1, axis2=2))
@@ -397,10 +375,8 @@ def solve_M_equation(lam: float, qv: QVTable, horizon: float | None = None) -> R
     log_ratio = np.log(np.maximum(traces, 1e-300)) - math.log(TRACE_BOUND_CONST) - log_psi_tv
     ratios = np.exp(log_ratio)
     return RiccatiRun(
-        hurst=qv.hurst,
         grid=qv.grid,
         times=times,
-        lam=lam,
         log_scale=4.0 * lam * times,
         m_traj=m_traj,
         trace_bound_ratios=ratios,

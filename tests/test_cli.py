@@ -240,8 +240,9 @@ def test_verbose_reports_worst_route_estimate(tmp_path, capsys):
     assert main(args) == EXIT_OK
     err = capsys.readouterr().err
     manifest = json.loads((tmp_path / "cgf_manifest.json").read_text())
-    worst = max(cell["liouville_error_estimate"] for cell in manifest["cells"])
-    assert f"cgf determinant route: worst_error_estimate={worst!r}" in err
+    for route, label in (("riccati", "trace"), ("liouville", "determinant")):
+        worst = max(cell[f"{route}_error_estimate"] for cell in manifest["cells"])
+        assert f"cgf {label} route: worst_error_estimate={worst!r}" in err
     header = (tmp_path / "cgf.csv").read_text().split("\n")[0]
     assert "estimate" not in header
 

@@ -14,7 +14,8 @@ from mfou.experiments import (
     TAILS_COLUMNS,
     ExperimentConfig,
     ExperimentReport,
-    _CellDraws,
+    _chain_precision,
+    _chain_statistics,
     _expected_hits_warning,
     _importance_weights,
     _wls_line,
@@ -25,8 +26,13 @@ from mfou.experiments import (
     run_normality,
     run_tail_slopes,
 )
-from mfou.inference import sufficient_statistics_batch, compute_Q_batch, compute_Z_batch
-from mfou.numerics import RandomStream
+from mfou.inference import (
+    compute_Q_batch,
+    compute_Z_batch,
+    path_statistics_batch,
+    sufficient_statistics_batch,
+)
+from mfou.numerics import RandomStream, TimeGrid
 from mfou.paths import ProcessSpec, sample_state_batch
 
 
@@ -157,10 +163,7 @@ def test_importance_weights_match_girsanov(kernel_07, qv_07):
     z = compute_Z_batch(states, kernel_07)
     q, _ = compute_Q_batch(z, qv_07)
     nums, dens = sufficient_statistics_batch(q, z, qv_07)
-    draws = _CellDraws(
-        numerators=nums, denominators=dens, theta_hat=-nums / dens, failures=0, reps=4
-    )
-    weights = _importance_weights(theta_target, theta_sim, draws)
+    weights = _importance_weights(theta_target, theta_sim, nums, dens)
 
     # dP(target)/dP(sim) = exp(l(target) - l(sim)) with the log-likelihood
     # l(theta) = -theta * int Q dZ - theta^2/2 * int Q^2 d<M>
@@ -170,6 +173,37 @@ def test_importance_weights_match_girsanov(kernel_07, qv_07):
     for r in range(4):
         expected = math.exp(loglik(theta_target, r) - loglik(theta_sim, r))
         assert weights[r] == pytest.approx(expected, rel=1e-12)
+
+
+def test_chain_weight_has_unit_mean():
+    # dP(2)/dP(1) of the sampled chain on paths drawn under drift 1 has mean
+    # exactly 1; the continuous-time weight from (int Q dZ, int Q^2 d<M>) is
+    # biased low on this lattice (0.968 +- 0.008 on these paths)
+    grid = TimeGrid(5.0, 256)
+    spec = ProcessSpec(0.7, 1.0, grid)
+    precision = _chain_precision(spec)
+    base = RandomStream(DEFAULT_SEED, (8,))
+    stats = [
+        _chain_statistics(sample_state_batch(spec, base, range(lo, lo + 2000)), precision, grid.dt)
+        for lo in range(0, 20000, 2000)
+    ]
+    a, b = (np.concatenate(s) for s in zip(*stats))
+    w = _importance_weights(2.0, 1.0, a, b)
+    se = w.std(ddof=1) / math.sqrt(w.size)
+    assert abs(w.mean() - 1.0) <= 2.0 * se
+    assert se < 0.01
+
+
+def test_chain_statistics_at_h_half(kernel_half, qv_half):
+    # at H = 1/2 the innovations are white with variance 2 dt: a is int Q dZ,
+    # and the trapezoid denominator adds the half end cell dt X_T^2 / 4 to b
+    dt = kernel_half.grid.dt
+    spec = ProcessSpec(0.5, 1.4, kernel_half.grid)
+    states = sample_state_batch(spec, RandomStream(55), range(16))
+    a, b = _chain_statistics(states, _chain_precision(spec), dt)
+    num, den = path_statistics_batch(states, kernel_half, qv_half)
+    assert np.allclose(a, num, rtol=0.0, atol=1e-12)
+    assert np.allclose(den - b, dt * states[:, -1] ** 2 / 4.0, rtol=0.0, atol=1e-13)
 
 
 def test_expected_hits_warning():
@@ -227,6 +261,11 @@ def test_tail_slopes_small_run():
         # both rates touch zero at this tail's end x = theta
         assert r["rate_printed"] == 0.0
         assert r["rate_numeric"] == pytest.approx(0.0, abs=1e-8)
+    for cell in report.manifest["cells"]:
+        plain, tilted = cell["estimates"]
+        assert "weight_mean" not in plain
+        assert tilted["weight_mean"] > 0.0
+        assert 1.0 <= tilted["weight_ess"] <= 400.0
     slopes = report.manifest["slopes"]
     assert len(slopes) == 1  # one fit per (H, tail), on the preferred series
     fit = slopes[0]["fit"]

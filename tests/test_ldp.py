@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mfou.experiments import _CellDraws, _importance_weights
+from mfou.experiments import _importance_weights
 from mfou.inference import compute_Q_batch, compute_Z_batch, sufficient_statistics_batch
 from mfou.ldp import (
     OUT_OF_DOMAIN,
@@ -116,10 +116,7 @@ def _tail_draws(theta, kernel, qv, reps, seed):
     states = sample_state_batch(spec, RandomStream(seed), range(reps))
     z = compute_Z_batch(states, kernel)
     q, _ = compute_Q_batch(z, qv)
-    nums, dens = sufficient_statistics_batch(q, z, qv)
-    return _CellDraws(
-        numerators=nums, denominators=dens, theta_hat=-nums / dens, failures=0, reps=reps
-    )
+    return sufficient_statistics_batch(q, z, qv)
 
 
 @pytest.mark.parametrize("phi", [-0.7, -1.35])
@@ -127,15 +124,15 @@ def test_girsanov_weight_has_unit_mean(kernel_07, qv_07, phi):
     # dP(-phi)/dP(theta) on paths drawn under theta; keep the drift change
     # modest, the weight variance explodes with it
     theta = 1.0
-    w = _importance_weights(-phi, theta, _tail_draws(theta, kernel_07, qv_07, 2000, 404))
+    w = _importance_weights(-phi, theta, *_tail_draws(theta, kernel_07, qv_07, 2000, 404))
     se = w.std(ddof=1) / math.sqrt(w.size)
     assert w.mean() == pytest.approx(1.0, abs=3.5 * se)
     assert se < 0.05
 
 
 def test_girsanov_weight_trivial_at_matching_drift(kernel_07, qv_07):
-    draws = _tail_draws(1.0, kernel_07, qv_07, 8, 404)
-    assert np.array_equal(_importance_weights(1.0, 1.0, draws), np.ones(8))
+    stats = _tail_draws(1.0, kernel_07, qv_07, 8, 404)
+    assert np.array_equal(_importance_weights(1.0, 1.0, *stats), np.ones(8))
 
 
 def test_empirical_cgf_diagnostics(kernel_07, qv_07):

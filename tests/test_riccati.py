@@ -10,12 +10,10 @@ from mfou.errors import (
     MfouError,
     NonPositiveDet,
     ResidualTooLarge,
-    StepNotConverged,
 )
 from mfou.experiments import ExperimentConfig, run_cgf_convergence
 from mfou.numerics import TimeGrid
 from mfou.riccati import (
-    MAX_HALVINGS,
     TRACE_BOUND_CONST,
     eigen_split,
     k_T_via_liouville,
@@ -35,17 +33,42 @@ def cameron_martin_k(theta, mu, horizon):
 
 
 def test_riccati_h_half_closed_form(qv_half):
+    # psi is constant, so every Magnus step is exact and Simpson's rule is
+    # all of the error
     for mu in (0.25, 0.5, 1.0):
         run = solve_riccati(1.0, mu, qv_half)
         got = k_T_via_riccati(run)
-        assert got == pytest.approx(cameron_martin_k(1.0, mu, 5.0), abs=1e-4)
+        assert abs(got - cameron_martin_k(1.0, mu, 5.0)) <= 1e-9
+        assert got.error <= 1e-12
 
 
 def test_two_routes_agree(qv_07):
     run = solve_riccati(1.0, 0.5, qv_07)
+    k_ric = k_T_via_riccati(run)
     k_lio = k_T_via_liouville(1.0, 0.5, qv_07)
-    assert k_T_via_riccati(run) == pytest.approx(k_lio, abs=1e-4)
-    assert 0.0 < k_lio.error <= riccati.LIOUVILLE_ERROR_BOUND
+    assert k_ric == pytest.approx(k_lio, abs=1e-4)
+    assert 0.0 < k_ric.error <= riccati.ROUTE_ERROR_BOUND
+    assert 0.0 < k_lio.error <= riccati.ROUTE_ERROR_BOUND
+
+
+def test_riccati_error_estimate_against_substepped_reference():
+    # the reference takes 8 Magnus steps per interval and the same Simpson sum
+    qv = quadratic_variation(build_kernel(0.7, TimeGrid(5.0, 128)))
+    times, psi = qv.grid.nodes, qv.psi_diag
+    weights = riccati._simpson_weights(qv.grid.cells, qv.grid.dt)
+    for mu in (0.25, 1.0):
+        got = k_T_via_riccati(solve_riccati(1.0, mu, qv))
+        (gamma,) = riccati._gamma_paths(1.0, mu, times, psi, (8,))
+        trace = gamma[:, 0, 0] * psi + 2.0 * gamma[:, 0, 1] + gamma[:, 1, 1] / psi
+        reference = -mu / (4.0 * 5.0) * float(weights @ trace)
+        assert 0.5 <= got.error / abs(got - reference) <= 2.0
+
+
+def test_simpson_weights_exact_for_cubics():
+    for cells in (2, 3, 8, 9):
+        nodes = np.linspace(0.0, 1.5, cells + 1)
+        weights = riccati._simpson_weights(cells, 1.5 / cells)
+        assert weights @ nodes**3 == pytest.approx(1.5**4 / 4.0, rel=1e-14)
 
 
 def test_liouville_h_half_closed_form(qv_half):
@@ -64,15 +87,24 @@ def test_liouville_long_horizon_cell():
     (cell,) = report.manifest["cells"]
     assert math.isfinite(row["k_liouville"])
     assert cell["liouville_error"] == ""
-    assert 0.0 < cell["liouville_error_estimate"] <= riccati.LIOUVILLE_ERROR_BOUND
+    assert 0.0 < cell["liouville_error_estimate"] <= riccati.ROUTE_ERROR_BOUND
+    assert 0.0 < cell["riccati_error_estimate"] <= riccati.ROUTE_ERROR_BOUND
     assert row["blowup"] is False
     assert abs(row["k_liouville"] - row["k_riccati"]) <= 1e-4
 
 
 def test_liouville_error_bound_raises(qv_07, monkeypatch):
-    monkeypatch.setattr(riccati, "LIOUVILLE_ERROR_BOUND", 1e-18)  # below rounding
+    monkeypatch.setattr(riccati, "ROUTE_ERROR_BOUND", 1e-18)  # below rounding
     with pytest.raises(ResidualTooLarge) as err:
         k_T_via_liouville(1.0, 0.5, qv_07)
+    assert err.value.residual > err.value.bound
+
+
+def test_riccati_error_bound_raises(qv_07, monkeypatch):
+    run = solve_riccati(1.0, 0.5, qv_07)
+    monkeypatch.setattr(riccati, "ROUTE_ERROR_BOUND", 1e-18)  # below rounding
+    with pytest.raises(ResidualTooLarge) as err:
+        k_T_via_riccati(run)
     assert err.value.residual > err.value.bound
 
 
@@ -100,19 +132,6 @@ def test_linear_routes_converge_at_long_horizon():
         assert run.log_scale[-1] > 0.0
         assert np.all(np.isfinite(run.m_traj))
         assert run.trace_bound_max <= 1.0
-
-
-def test_capped_interval_raises(qv_07, monkeypatch):
-    monkeypatch.setattr(riccati, "LOCAL_ERROR", 1e-30)  # below rounding: no interval converges
-    with pytest.raises(StepNotConverged) as err:
-        solve_riccati(1.0, 0.5, qv_07)
-    assert err.value.time == 0.0
-    assert err.value.halvings == MAX_HALVINGS
-    assert err.value.change > err.value.bound
-    # outside mu > -theta^2/2 the unresolved interval is the finite-time blow-up
-    with pytest.raises(BlowUp) as err:
-        solve_riccati(1.0, -2.0, qv_07)
-    assert isinstance(err.value.__cause__, StepNotConverged)
 
 
 def test_liouville_pinned_values():
@@ -144,12 +163,14 @@ def test_cgf_cell_keeps_routes_when_liouville_fails(monkeypatch):
     assert cell["liouville_error"] == "NonPositiveDet: det Psi1(T) = -1.000e+00"
     assert cell["riccati_error"] == "" and cell["mc_error"] == ""
     assert math.isnan(cell["liouville_error_estimate"])
+    assert 0.0 <= cell["riccati_error_estimate"] <= riccati.ROUTE_ERROR_BOUND
     assert cell["blowup"] is True
     assert not report.passed
 
 
 def test_mu_zero_short_circuits(qv_07):
-    assert k_T_via_riccati(solve_riccati(1.0, 0.0, qv_07)) == 0.0
+    k_ric = k_T_via_riccati(solve_riccati(1.0, 0.0, qv_07))
+    assert k_ric == 0.0 and k_ric.error == 0.0
     assert k_T_via_liouville(1.0, 0.0, qv_07) == 0.0
 
 
@@ -173,12 +194,19 @@ def test_run_metadata(qv_07):
     assert np.allclose(run.trace_gamma_r, reference, rtol=1e-14, atol=1e-15)
 
 
-def test_blowup_guard(qv_07):
+def test_blowup_guard(qv_07, qv_half):
     # mu far below -theta^2/2 sends the Laplace transform to infinity in
     # finite time; the solver must report the blow-up, not return garbage
     with pytest.raises(BlowUp) as err:
         solve_riccati(1.0, -2.0, qv_07)
     assert 0.0 < err.value.time <= qv_07.grid.horizon
+    # at H = 1/2, theta = 1, Psi_1 turns singular where cos(w t) + sin(w t)/w
+    # first vanishes, w = sqrt(-1 - 2 mu): at t = (pi - arctan w)/w
+    for mu in (-2.0, -1.0):
+        w = math.sqrt(-1.0 - 2.0 * mu)
+        with pytest.raises(BlowUp) as err:
+            solve_riccati(1.0, mu, qv_half)
+        assert err.value.time < (math.pi - math.atan(w)) / w <= err.value.time + qv_half.grid.dt
 
 
 def test_eigen_split_identities():
