@@ -26,8 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dgemm
-from scipy.special import ndtr, ndtri
-from scipy.stats import beta as _beta
+from scipy.special import betaincinv, ndtr, ndtri
 
 from . import DEFAULT_SEED, MIN_CELLS, __version__
 from .cli import _json_safe
@@ -328,8 +327,8 @@ def ks_distance(sample, sd: float) -> float:
 def clopper_pearson(hits: int, trials: int, level: float = CI_LEVEL) -> tuple:
     """Exact binomial interval via Beta quantiles; closed at empty/full counts."""
     alpha = 1.0 - level
-    lo = 0.0 if hits == 0 else float(_beta.ppf(alpha / 2.0, hits, trials - hits + 1))
-    hi = 1.0 if hits == trials else float(_beta.ppf(1.0 - alpha / 2.0, hits + 1, trials - hits))
+    lo = 0.0 if hits == 0 else float(betaincinv(hits, trials - hits + 1, alpha / 2.0))
+    hi = 1.0 if hits == trials else float(betaincinv(hits + 1, trials - hits, 1.0 - alpha / 2.0))
     return lo, hi
 
 

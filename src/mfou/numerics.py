@@ -1,4 +1,4 @@
-"""Shared numerical primitives: grids, random streams, Cholesky, quadrature.
+"""Shared numerical primitives: grids, random streams, Cholesky, derivatives.
 
 Conventions used by every downstream module are fixed here once:
 
@@ -9,7 +9,6 @@ Conventions used by every downstream module are fixed here once:
   that hash for a whole batch of child addresses in one vectorised pass, and
   `rekeyed` points one generator at each key in turn, so a batch needs no
   SeedSequence per replication and draws exactly what `generator()` would;
-* time integrals are trapezoidal against supplied integrator increments;
 * grid derivatives are second-order central differences with second-order
   one-sided stencils at the endpoints.
 """
@@ -235,19 +234,6 @@ def cholesky_factor(matrix) -> np.ndarray:
         if first_pivot is None:
             first_pivot = info
     raise NotPositiveDefinite(first_pivot)
-
-
-def trapezoid_integral(values, increments) -> float:
-    """Trapezoid rule for int f dG given node values of f and cell increments of G."""
-    v = np.asarray(values, dtype=float)
-    w = np.asarray(increments, dtype=float)
-    if v.ndim != 1 or w.ndim != 1:
-        raise LengthMismatch("expected 1-d arrays")
-    if w.shape[0] != v.shape[0] - 1:
-        raise LengthMismatch(
-            f"need len(increments) == len(values)-1, got {w.shape[0]} vs {v.shape[0]}"
-        )
-    return float(np.dot(0.5 * (v[:-1] + v[1:]), w))
 
 
 def finite_diff_derivative(values, dx: float) -> np.ndarray:

@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import EmbeddingFailed, LengthMismatch, NodeSetTooLarge
 from .numerics import RandomStream, TimeGrid, cholesky_factor, rekeyed
@@ -159,6 +158,22 @@ def _fgn_from_embedding_batch(eig: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return out
 
 
+def _euler_states(increments: np.ndarray, phi: float) -> np.ndarray:
+    """Rows of the Euler chain x[k] = increments[k-1] + phi*x[k-1] from x[0] = 0.
+
+    `increments` has shape (R, n) and is never written; the result is a new
+    (R, n + 1) array. The loop runs over time steps, each one update of a
+    whole column. It adds in the order of scipy.signal's direct-form filter
+    with b = [1], a = [1, -phi] along axis 1, so the bits are that filter's.
+    """
+    state = np.zeros((len(increments), increments.shape[1] + 1))
+    state[:, 1:] = increments
+    columns = state.T
+    for prev, col in zip(columns[1:], columns[2:]):
+        col += phi * prev
+    return state
+
+
 def sample_fbm_increments(spec: ProcessSpec, stream: RandomStream) -> np.ndarray:
     """Increments of B^H on the grid cells; exact in law for all H in (0, 1]."""
     n = spec.grid.cells
@@ -185,9 +200,7 @@ def sample_mixed_path(spec: ProcessSpec, stream: RandomStream) -> PathBundle:
     d_bm = np.sqrt(dt) * stream.child(_SUB_BM).generator().standard_normal(n)
     d_fbm = sample_fbm_increments(spec, stream)
     d_mix = d_bm + d_fbm
-    state = np.empty(n + 1)
-    state[0] = 0.0
-    state[1:] = lfilter([1.0], [1.0, -(1.0 - spec.theta * dt)], d_mix)
+    state = _euler_states(d_mix[None], 1.0 - spec.theta * dt)[0]
     meta = {"fbm_degenerate": spec.hurst == 1.0}
     zero = np.zeros(1)
     return PathBundle(
@@ -243,10 +256,7 @@ def sample_state_batch(spec: ProcessSpec, base: RandomStream, rep_ids) -> np.nda
     d_mix = np.add(d_fbm, d_bm, out=d_fbm)
     # the filter stage sets the batch's peak memory: hold no input arrays through it
     del d_bm, d_fbm
-    state = np.empty((reps, n + 1))
-    state[:, 0] = 0.0
-    state[:, 1:] = lfilter([1.0], [1.0, -(1.0 - spec.theta * dt)], d_mix, axis=1)
-    return state
+    return _euler_states(d_mix, 1.0 - spec.theta * dt)
 
 
 def exact_ou_covariance_oracle(spec: ProcessSpec, nodes, refine: int = 8) -> np.ndarray:

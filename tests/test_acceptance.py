@@ -33,7 +33,7 @@ from mfou.ldp import (
     k_limit,
     rate_function_printed,
 )
-from mfou.numerics import RandomStream, TimeGrid, trapezoid_integral
+from mfou.numerics import RandomStream, TimeGrid
 from mfou.paths import ProcessSpec, fbm_covariance, sample_mixed_path
 from mfou.riccati import (
     eigen_split,
@@ -43,6 +43,7 @@ from mfou.riccati import (
     solve_riccati,
 )
 from mfou.transform import build_kernel, inverse_kernel, quadratic_variation
+from oracles import trapezoid_integral
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> str:

@@ -386,3 +386,18 @@ def test_cli_loads_no_numpy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "config keys" in proc.stdout
+
+
+def test_studies_load_only_linalg_and_special():
+    # every mfou process pays for its imports: scipy.stats and scipy.signal
+    # alone would more than double the start-up time
+    code = (
+        "import sys\n"
+        "import mfou.cli, mfou.experiments\n"
+        "heavy = ('scipy.stats', 'scipy.signal', 'scipy.optimize', 'scipy.interpolate')\n"
+        "loaded = sorted(m for m in heavy if m in sys.modules)\n"
+        "assert not loaded, loaded\n"
+        "assert 'scipy.linalg' in sys.modules and 'scipy.special' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -16,8 +16,10 @@ from mfou.experiments import (
     ExperimentReport,
     _chain_precision,
     _chain_statistics,
+    _collect_cell,
     _expected_hits_warning,
     _importance_weights,
+    _tail_cell_estimates,
     _wls_line,
     clopper_pearson,
     ks_distance,
@@ -34,6 +36,7 @@ from mfou.inference import (
 )
 from mfou.numerics import RandomStream, TimeGrid
 from mfou.paths import ProcessSpec, sample_state_batch
+from mfou.transform import build_kernel, quadratic_variation
 
 
 def test_config_defaults_and_roundtrip():
@@ -141,6 +144,16 @@ def test_clopper_pearson_edges_and_interior():
     ref = scipy.stats.binomtest(13, n).proportion_ci(confidence_level=0.95, method="exact")
     assert lo == pytest.approx(ref.low, abs=1e-12)
     assert hi == pytest.approx(ref.high, abs=1e-12)
+    # one and two hits or misses, where the Beta quantiles are most skewed;
+    # relative, since older scipy computes betaincinv and beta.ppf by
+    # different routines
+    for trials in (40, 10_000):
+        for hits in (1, 2, trials - 2, trials - 1):
+            lo, hi = clopper_pearson(hits, trials)
+            want_lo = scipy.stats.beta.ppf(0.025, hits, trials - hits + 1)
+            want_hi = scipy.stats.beta.ppf(0.975, hits + 1, trials - hits)
+            assert lo == pytest.approx(want_lo, rel=1e-12, abs=0.0)
+            assert hi == pytest.approx(want_hi, rel=1e-12, abs=0.0)
 
 
 def test_wls_line_matches_polyfit():
@@ -204,6 +217,23 @@ def test_chain_statistics_at_h_half(kernel_half, qv_half):
     num, den = path_statistics_batch(states, kernel_half, qv_half)
     assert np.allclose(a, num, rtol=0.0, atol=1e-12)
     assert np.allclose(den - b, dt * states[:, -1] ** 2 / 4.0, rtol=0.0, atol=1e-13)
+
+
+def test_tilted_tail_agrees_with_plain():
+    # P(theta_hat > 1.5) at H = 0.7, T = 5: the tilted pass, drawn under
+    # drift 1.4 and weighted back to 1, against the plain pass
+    config = ExperimentConfig(hurst=(0.7,), horizons=(5.0,), cells=128, reps=4000, tilt=1.4)
+    grid = config.grid_for(5.0)
+    kernel = build_kernel(0.7, grid)
+    qv = quadratic_variation(kernel)
+    plain = _collect_cell(config, ProcessSpec(0.7, 1.0, grid), kernel, qv, (3, 0, 0, 0))
+    tilted = _collect_cell(config, ProcessSpec(0.7, 1.4, grid), kernel, qv, (3, 0, 0, 1), 1.0)
+    ests = _tail_cell_estimates(config, plain, tilted, (1.5, math.inf))
+    (p, se), (p_t, se_t) = ((e["p"], e["p"] * math.sqrt(e["var_logp"])) for e in ests)
+    assert [e["method"] for e in ests] == ["plain", "tilted"]
+    assert 0.25 < p < 0.45
+    assert se_t < se  # the tilt puts more paths in the tail
+    assert abs(p_t - p) <= 2.0 * math.hypot(se, se_t)
 
 
 def test_expected_hits_warning():

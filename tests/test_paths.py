@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.signal
 
 from mfou import paths
 from mfou.cli import EXIT_OK, main
@@ -115,6 +116,21 @@ def test_half_spectrum_matches_full_fft(n, hurst):
     want = _fgn_full_spectrum(eig, draws)
     assert got.shape == (70, n)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [8, 128, 512])
+@pytest.mark.parametrize("rows", [1, 3, 2048])
+def test_euler_states_match_lfilter(rows, n):
+    phi = 1.0 - 0.8 * 5.0 / n  # theta = 0.8 on [0, 5]
+    increments = np.random.default_rng(rows * n).standard_normal((rows, n))
+    before = increments.copy()
+    state = paths._euler_states(increments, phi)
+    want = scipy.signal.lfilter([1.0], [1.0, -phi], increments, axis=1)
+    assert state.shape == (rows, n + 1)
+    assert np.all(state[:, 0] == 0.0)
+    assert np.array_equal(state[:, 1:], want)
+    # the input is never written, also when it is a single row
+    assert np.array_equal(increments, before)
 
 
 @pytest.mark.parametrize(
