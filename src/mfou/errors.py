@@ -33,20 +33,8 @@ class LengthMismatch(NumericalError, ValueError):
     """Array arguments have incompatible lengths."""
 
 
-class NotSymmetric(NumericalError, ValueError):
-    """Matrix expected to be symmetric is not, beyond tolerance."""
-
-
-class NotPositiveDefinite(NumericalError):
-    """Cholesky failed; `pivot` is the 1-based index of the failing minor."""
-
-    def __init__(self, pivot: int, message: str | None = None):
-        self.pivot = int(pivot)
-        super().__init__(message or f"matrix not positive definite at pivot {pivot}")
-
-
 class EmbeddingFailed(NumericalError):
-    """Neither circulant embedding nor the Cholesky fallback produced a factor."""
+    """The circulant embedding of fractional Gaussian noise is not nonnegative definite."""
 
 
 class ResidualTooLarge(NumericalError):
@@ -65,10 +53,6 @@ class NonMonotoneBracket(NumericalError):
 
 class NodeOutOfRange(NumericalError, ValueError):
     """Requested time does not lie on the table's grid."""
-
-
-class NodeSetTooLarge(NumericalError, ValueError):
-    """Oracle node set exceeds the supported size."""
 
 
 class PsiNotPositive(NumericalError):

@@ -203,15 +203,7 @@ class ExperimentConfig:
         unknown = set(data) - names
         if unknown:
             raise ConfigError(f"unknown config key '{sorted(unknown)[0]}'")
-        kwargs = dict(data)
-        if "tails" in kwargs:
-            kwargs["tails"] = tuple(
-                (float(lo), float(hi)) for lo, hi in kwargs["tails"]
-            )
-        for name in ("hurst", "horizons", "mu_grid", "x_grid"):
-            if name in kwargs:
-                kwargs[name] = tuple(kwargs[name])
-        return cls(**kwargs)
+        return cls(**data)
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_manifest(), sort_keys=True, separators=(",", ":"))
@@ -352,11 +344,19 @@ def _check_prob(p: float, lo: float, hi: float, context: str) -> None:
         raise ExperimentInvalid(f"{context}: interval [{lo}, {hi}] around {p} is malformed")
 
 
-def _build_kernel(hurst: float, grid: TimeGrid, built: list):
-    """build_kernel, with the kernel's health meta appended to `built`."""
-    kernel = build_kernel(hurst, grid)
-    built.append(kernel.meta)
-    return kernel
+def _cells(config: ExperimentConfig, built: list):
+    """(h_idx, t_idx, kernel, qv, spec) for every (H, T) cell, H-major.
+
+    The meta of every kernel built is appended to `built`.
+    """
+    for h_idx, hurst in enumerate(config.hurst):
+        for t_idx, horizon in enumerate(config.horizons):
+            grid = config.grid_for(horizon)
+            kernel = build_kernel(hurst, grid)
+            built.append(kernel.meta)
+            qv = quadratic_variation(kernel)
+            spec = ProcessSpec(hurst=hurst, theta=config.theta, grid=grid)
+            yield h_idx, t_idx, kernel, qv, spec
 
 
 def _base_manifest(name: str, config: ExperimentConfig, t0: float, built: list) -> dict:
@@ -389,41 +389,36 @@ def run_normality(config: ExperimentConfig) -> ExperimentReport:
     t0 = time.time()
     sd = math.sqrt(2.0 * config.theta)
     rows, cells, built = [], [], []
-    for h_idx, hurst in enumerate(config.hurst):
-        for t_idx, horizon in enumerate(config.horizons):
-            grid = config.grid_for(horizon)
-            kernel = _build_kernel(hurst, grid, built)
-            qv = quadratic_variation(kernel)
-            spec = ProcessSpec(hurst=hurst, theta=config.theta, grid=grid)
-            draws = _collect_cell(config, spec, kernel, qv, (_EXP_NORMALITY, h_idx, t_idx))
-            scaled = math.sqrt(horizon) * (draws.theta_hat - config.theta)
-            mean = float(np.mean(scaled))
-            var = float(np.var(scaled, ddof=1))
-            ks = ks_distance(scaled, sd)
-            valid = draws.attrition < ATTRITION_LIMIT
-            target = 2.0 * config.theta
-            ok = bool(
-                valid and VAR_BAND[0] * target <= var <= VAR_BAND[1] * target and ks <= KS_GATE
-            )
-            rows.append((hurst, horizon, config.reps, var, ks, ok))
-            cells.append(
-                {
-                    "H": hurst,
-                    "T": horizon,
-                    "cells": grid.cells,
-                    "reps": config.reps,
-                    "attrition": draws.attrition,
-                    "valid": valid,
-                    "mean_scaled": mean,
-                    "mean_se": math.sqrt(var / scaled.size),
-                    "var_scaled": var,
-                    "ks_dist": ks,
-                    "quantile_probs": list(QUANTILE_PROBS),
-                    "quantiles_sample": np.quantile(scaled, QUANTILE_PROBS).tolist(),
-                    "quantiles_normal": [sd * float(ndtri(p)) for p in QUANTILE_PROBS],
-                    "pass": ok,
-                }
-            )
+    for h_idx, t_idx, kernel, qv, spec in _cells(config, built):
+        draws = _collect_cell(config, spec, kernel, qv, (_EXP_NORMALITY, h_idx, t_idx))
+        scaled = math.sqrt(spec.grid.horizon) * (draws.theta_hat - config.theta)
+        mean = float(np.mean(scaled))
+        var = float(np.var(scaled, ddof=1))
+        ks = ks_distance(scaled, sd)
+        valid = draws.attrition < ATTRITION_LIMIT
+        target = 2.0 * config.theta
+        ok = bool(
+            valid and VAR_BAND[0] * target <= var <= VAR_BAND[1] * target and ks <= KS_GATE
+        )
+        rows.append((spec.hurst, spec.grid.horizon, config.reps, var, ks, ok))
+        cells.append(
+            {
+                "H": spec.hurst,
+                "T": spec.grid.horizon,
+                "cells": spec.grid.cells,
+                "reps": config.reps,
+                "attrition": draws.attrition,
+                "valid": valid,
+                "mean_scaled": mean,
+                "mean_se": math.sqrt(var / scaled.size),
+                "var_scaled": var,
+                "ks_dist": ks,
+                "quantile_probs": list(QUANTILE_PROBS),
+                "quantiles_sample": np.quantile(scaled, QUANTILE_PROBS).tolist(),
+                "quantiles_normal": [sd * float(ndtri(p)) for p in QUANTILE_PROBS],
+                "pass": ok,
+            }
+        )
     manifest = _base_manifest("normality", config, t0, built)
     manifest["cells"] = cells
     manifest["pass"] = all(c["pass"] for c in cells)
@@ -448,7 +443,7 @@ def _expected_hits_warning(config: ExperimentConfig) -> None:
                     )
 
 
-def _tail_cell_estimates(config, draws, tilted, gamma):
+def _tail_cell_estimates(draws, tilted, gamma):
     """Plain and (when available) tilted estimates of P(theta_hat in gamma)."""
     lo, hi = gamma
     out = []
@@ -511,46 +506,41 @@ def _scan_tails(config: ExperimentConfig, exp_id: int, gammas, built: list):
     """
     records = []
     series = {}
-    for h_idx, hurst in enumerate(config.hurst):
-        for t_idx, horizon in enumerate(config.horizons):
-            grid = config.grid_for(horizon)
-            kernel = _build_kernel(hurst, grid, built)
-            qv = quadratic_variation(kernel)
-            spec = ProcessSpec(hurst=hurst, theta=config.theta, grid=grid)
-            draws = _collect_cell(config, spec, kernel, qv, (exp_id, h_idx, t_idx, 0))
-            tilted = None
-            if config.tilt is not None:
-                spec_t = ProcessSpec(hurst=hurst, theta=config.tilt, grid=grid)
-                tilted = _collect_cell(
-                    config, spec_t, kernel, qv, (exp_id, h_idx, t_idx, 1), config.theta
-                )
-            attrition = max(
-                draws.attrition, tilted.attrition if tilted is not None else 0.0
+    for h_idx, t_idx, kernel, qv, spec in _cells(config, built):
+        draws = _collect_cell(config, spec, kernel, qv, (exp_id, h_idx, t_idx, 0))
+        tilted = None
+        if config.tilt is not None:
+            spec_t = ProcessSpec(hurst=spec.hurst, theta=config.tilt, grid=spec.grid)
+            tilted = _collect_cell(
+                config, spec_t, kernel, qv, (exp_id, h_idx, t_idx, 1), config.theta
             )
-            for g_idx, gamma in enumerate(gammas):
-                ests = _tail_cell_estimates(config, draws, tilted, gamma)
-                for est in ests:
-                    _check_prob(est["p"], est["ci"][0], est["ci"][1], "tail cell")
-                chosen = _preferred(ests)
-                overlap = None
-                if len(ests) == 2:
-                    overlap = bool(
-                        ests[0]["ci"][0] <= ests[1]["ci"][1]
-                        and ests[1]["ci"][0] <= ests[0]["ci"][1]
-                    )
-                records.append(
-                    {
-                        "H": hurst,
-                        "T": horizon,
-                        "gamma": gamma,
-                        "estimates": ests,
-                        "chosen": chosen,
-                        "overlap": overlap,
-                        "attrition": attrition,
-                        "valid": attrition < ATTRITION_LIMIT,
-                    }
+        attrition = max(
+            draws.attrition, tilted.attrition if tilted is not None else 0.0
+        )
+        for g_idx, gamma in enumerate(gammas):
+            ests = _tail_cell_estimates(draws, tilted, gamma)
+            for est in ests:
+                _check_prob(est["p"], est["ci"][0], est["ci"][1], "tail cell")
+            chosen = _preferred(ests)
+            overlap = None
+            if len(ests) == 2:
+                overlap = bool(
+                    ests[0]["ci"][0] <= ests[1]["ci"][1]
+                    and ests[1]["ci"][0] <= ests[0]["ci"][1]
                 )
-                series.setdefault((h_idx, g_idx), []).append((horizon, chosen))
+            records.append(
+                {
+                    "H": spec.hurst,
+                    "T": spec.grid.horizon,
+                    "gamma": gamma,
+                    "estimates": ests,
+                    "chosen": chosen,
+                    "overlap": overlap,
+                    "attrition": attrition,
+                    "valid": attrition < ATTRITION_LIMIT,
+                }
+            )
+            series.setdefault((h_idx, g_idx), []).append((spec.grid.horizon, chosen))
     return records, series
 
 
@@ -717,75 +707,70 @@ def run_cgf_convergence(config: ExperimentConfig) -> ExperimentReport:
     t0 = time.time()
     rows, cells, built = [], [], []
     dists = {}
-    for h_idx, hurst in enumerate(config.hurst):
-        for t_idx, horizon in enumerate(config.horizons):
-            grid = config.grid_for(horizon)
-            kernel = _build_kernel(hurst, grid, built)
-            qv = quadratic_variation(kernel)
-            spec = ProcessSpec(hurst=hurst, theta=config.theta, grid=grid)
-            for m_idx, mu in enumerate(config.mu_grid):
-                lim = k_limit(mu, config.theta) + 0.0
-                stream = RandomStream(
-                    master_seed=config.master_seed, key=(_EXP_CGF, h_idx, t_idx, m_idx)
-                )
-                results, errors = {}, dict.fromkeys(CGF_ROUTES, "")
-                for route in CGF_ROUTES:
-                    try:
-                        results[route] = cgf_route(
-                            route, config.theta, mu, spec, kernel, qv, config.reps, stream
-                        )
-                    except NumericalError as exc:
-                        errors[route] = f"{type(exc).__name__}: {exc}"
-                k_ric = ric_estimate = k_lio = lio_estimate = k_mc = mc_se = math.nan
-                unreliable = False
-                if "riccati" in results:
-                    k_ric, ric_estimate = float(results["riccati"]), results["riccati"].error
-                if "liouville" in results:
-                    k_lio, lio_estimate = float(results["liouville"]), results["liouville"].error
-                if "mc" in results:
-                    est = results["mc"]
-                    k_mc, mc_se = est.value, est.stderr
-                    unreliable = bool(est.unreliable or est.heavy_tail)
-                blowup = any(errors.values())
-                d_ric = abs(k_ric - lim)
-                d_lio = abs(k_lio - lim)
-                d_mc = abs(k_mc - lim)
-                rows.append(
-                    (
-                        hurst,
-                        mu,
-                        horizon,
-                        k_ric,
-                        k_lio,
-                        k_mc,
-                        mc_se,
-                        lim,
-                        d_ric,
-                        d_lio,
-                        d_mc,
-                        unreliable,
-                        blowup,
+    for h_idx, t_idx, kernel, qv, spec in _cells(config, built):
+        for m_idx, mu in enumerate(config.mu_grid):
+            lim = k_limit(mu, config.theta) + 0.0
+            stream = RandomStream(
+                master_seed=config.master_seed, key=(_EXP_CGF, h_idx, t_idx, m_idx)
+            )
+            results, errors = {}, dict.fromkeys(CGF_ROUTES, "")
+            for route in CGF_ROUTES:
+                try:
+                    results[route] = cgf_route(
+                        route, config.theta, mu, spec, kernel, qv, config.reps, stream
                     )
+                except NumericalError as exc:
+                    errors[route] = f"{type(exc).__name__}: {exc}"
+            k_ric = ric_estimate = k_lio = lio_estimate = k_mc = mc_se = math.nan
+            unreliable = False
+            if "riccati" in results:
+                k_ric, ric_estimate = float(results["riccati"]), results["riccati"].error
+            if "liouville" in results:
+                k_lio, lio_estimate = float(results["liouville"]), results["liouville"].error
+            if "mc" in results:
+                est = results["mc"]
+                k_mc, mc_se = est.value, est.stderr
+                unreliable = bool(est.unreliable or est.heavy_tail)
+            blowup = any(errors.values())
+            d_ric = abs(k_ric - lim)
+            d_lio = abs(k_lio - lim)
+            d_mc = abs(k_mc - lim)
+            rows.append(
+                (
+                    spec.hurst,
+                    mu,
+                    spec.grid.horizon,
+                    k_ric,
+                    k_lio,
+                    k_mc,
+                    mc_se,
+                    lim,
+                    d_ric,
+                    d_lio,
+                    d_mc,
+                    unreliable,
+                    blowup,
                 )
-                cells.append(
-                    {
-                        "H": hurst,
-                        "mu": mu,
-                        "T": horizon,
-                        "cells": grid.cells,
-                        "k_riccati": k_ric,
-                        "k_liouville": k_lio,
-                        "k_mc": k_mc,
-                        "mc_stderr": mc_se,
-                        "k_limit": lim,
-                        **{f"{name}_error": err for name, err in errors.items()},
-                        "riccati_error_estimate": ric_estimate,
-                        "liouville_error_estimate": lio_estimate,
-                        "blowup": blowup,
-                    }
-                )
-                if not errors["riccati"]:
-                    dists.setdefault((h_idx, m_idx), []).append(d_ric)
+            )
+            cells.append(
+                {
+                    "H": spec.hurst,
+                    "mu": mu,
+                    "T": spec.grid.horizon,
+                    "cells": spec.grid.cells,
+                    "k_riccati": k_ric,
+                    "k_liouville": k_lio,
+                    "k_mc": k_mc,
+                    "mc_stderr": mc_se,
+                    "k_limit": lim,
+                    **{f"{name}_error": err for name, err in errors.items()},
+                    "riccati_error_estimate": ric_estimate,
+                    "liouville_error_estimate": lio_estimate,
+                    "blowup": blowup,
+                }
+            )
+            if not errors["riccati"]:
+                dists.setdefault((h_idx, m_idx), []).append(d_ric)
     trends = []
     for (h_idx, m_idx), seq in sorted(dists.items()):
         monotone = all(b <= a + 1e-12 for a, b in zip(seq, seq[1:]))

@@ -20,10 +20,9 @@ giving theta_hat = -numerator/denominator, the maximiser of the
 log-likelihood l(theta) = -theta*numerator - theta^2/2 * denominator.
 The chain Z -> Q -> statistics runs in `path_statistics_batch` on
 (reps, nodes) batches of state paths, for the estimator and for every Monte
-Carlo study; one path is the batch state[None].
-
-A slower definitional route for Q (derivative of int_0^t g(s,t) X_s ds with
-respect to the bracket) is kept as a cross-check of the two-term formula.
+Carlo study; one path is the batch state[None]. The definitional route for
+Q (derivative of int_0^t g(s,t) X_s ds with respect to the bracket) lives in
+tests/oracles.py as the cross-check of the two-term formula.
 """
 
 from __future__ import annotations
@@ -34,8 +33,7 @@ import numpy as np
 from scipy.linalg.blas import dtrmm
 
 from .errors import GridMismatch
-from .numerics import TimeGrid
-from .transform import InverseKernel, QVTable, TransferKernel, solve_g
+from .transform import QVTable, TransferKernel
 
 DEGENERATE_DENOMINATOR = 1e-14
 
@@ -80,49 +78,6 @@ def compute_Q_batch(z: np.ndarray, qv: QVTable) -> tuple[np.ndarray, np.ndarray]
     return q, v
 
 
-def compute_Q_direct(state: np.ndarray, kernel: TransferKernel, qv: QVTable) -> np.ndarray:
-    """Q from its definition: d/d<M>_t of N(t) = int_0^t g(s, t) X_s ds.
-
-    Summation by parts against the kernel primitive G(s, t) = int_0^s g(r, t) dr
-    turns N into <M>_t X_t - int_0^t G(s, t) dX_s; since G(t, t) = <M>_t the
-    X'(t) contributions cancel when differentiating, leaving
-
-        Q_t = X_t - psi(t) int_0^t dG/dt(s, t) dX_s.
-
-    This form is exact at H = 1/2 (G is then horizon-independent) and puts
-    coefficient one on the newest path increment, so no path-roughness noise
-    enters the comparison with compute_Q_batch. G extends past the diagonal by
-    G(s, t) = <M>_t for s >= t, which the cumulative sums produce on their
-    own. Its horizon derivative at t_j is the central difference between
-    horizons t_{j-1} and t_{j+1} (one extra horizon is solved past T for the
-    last one), taken at the nodes t_0..t_{j-1} that the sum over cells i < j
-    reads; none lies past t_{j-1}, where t -> G(s, t) would have its kink
-    t = s inside the stencil.
-    Cross-check only, for one state path; the estimator pipeline uses
-    compute_Q_batch.
-    """
-    x = np.asarray(state, dtype=float)
-    n, dt = kernel.grid.cells, kernel.grid.dt
-    if kernel.grid != qv.grid:
-        raise GridMismatch("kernel and bracket table built on different grids")
-    if x.shape != (n + 1,):
-        raise GridMismatch(f"path has {x.shape[0]} nodes, kernel grid has {n + 1}")
-    ext = solve_g(kernel.hurst, TimeGrid(horizon=kernel.grid.horizon + dt, cells=n + 1), n + 1)
-
-    # big_g[j, s] = G(t_s, t_j) for horizons j = 0..n+1; rows saturate at <M>_{t_j}
-    # and row 0 is the horizon-0 continuation G(s, 0) = 0
-    big_g = np.zeros((n + 2, n + 1))
-    big_g[1:-1, 1:] = dt * np.cumsum(kernel.matrix, axis=1)
-    big_g[-1, 1:] = dt * np.cumsum(ext[:n])
-
-    # row j-1: dG/dt(t_i, t_j) on the cells i < j that the Ito sum reads
-    dg_dt = np.tril(big_g[2:, :n] - big_g[:-2, :n]) / (2.0 * dt)
-    q = np.empty(n + 1)
-    q[0] = 0.0
-    q[1:] = x[1:] - (dg_dt @ np.diff(x)) / qv.derivative[1:]
-    return q
-
-
 def sufficient_statistics_batch(q: np.ndarray, z: np.ndarray, qv: QVTable):
     """(int Q dZ, int Q^2 d<M>) per row: left-endpoint and trapezoid sums."""
     dm = qv.bracket_increments()
@@ -138,17 +93,6 @@ def path_statistics_batch(states: np.ndarray, kernel: TransferKernel, qv: QVTabl
     z = compute_Z_batch(states, kernel)
     q = compute_Q_batch(z, qv)[0]
     return sufficient_statistics_batch(q, z, qv)
-
-
-def reconstruct_X(z: np.ndarray, inverse: InverseKernel) -> np.ndarray:
-    """X at every node from Z increments via the reconstruction kernel."""
-    n = inverse.grid.cells
-    if z.shape != (n + 1,):
-        raise GridMismatch(f"Z has {z.shape[0]} nodes, inverse kernel grid has {n + 1}")
-    out = np.empty(n + 1)
-    out[0] = 0.0
-    out[1:] = inverse.matrix @ np.diff(z)
-    return out
 
 
 def estimate_batch(

@@ -1,4 +1,4 @@
-"""Shared numerical primitives: grids, random streams, Cholesky, derivatives.
+"""Shared numerical primitives: grids, random streams, derivatives.
 
 Conventions used by every downstream module are fixed here once:
 
@@ -19,15 +19,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import MIN_CELLS
-from .errors import GridTooCoarse, LengthMismatch, NotPositiveDefinite, NotSymmetric
-
-# Cholesky jitter policy: start at 1e-12 * trace/dim, escalate x10, at most
-# three escalations before giving up with the original failure pivot.
-_JITTER_BASE = 1e-12
-_JITTER_ESCALATIONS = 3
+from .errors import GridTooCoarse, LengthMismatch
 
 # numpy.random.SeedSequence's hash (numpy/random/bit_generator.pyx): a pool of
 # four 32-bit words, mixed with these multipliers and a 16-bit xorshift
@@ -208,32 +202,6 @@ def rekeyed(generator: np.random.Generator, keys):
         inner["key"] = key
         bitgen.state = state
         yield generator
-
-
-def cholesky_factor(matrix) -> np.ndarray:
-    """Lower-triangular L with L L^T = matrix.
-
-    A matrix that fails by a hair (sampling covariance rounded to indefinite)
-    is retried with a jitter of 1e-12*trace/dim added to the diagonal,
-    escalated tenfold at most three times. The error reports the 1-based
-    pivot index of the first failing leading minor of the unjittered matrix.
-    """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
-    dim = a.shape[0]
-    base = _JITTER_BASE * max(float(np.trace(a)), 1.0) / dim
-    first_pivot = None
-    for attempt in range(_JITTER_ESCALATIONS + 1):
-        trial = a if attempt == 0 else a + (base * 10.0 ** (attempt - 1)) * np.eye(dim)
-        c, info = lapack.dpotrf(trial, lower=1)
-        if info == 0:
-            return np.tril(c)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of dpotrf")
-        if first_pivot is None:
-            first_pivot = info
-    raise NotPositiveDefinite(first_pivot)
 
 
 def finite_diff_derivative(values, dx: float) -> np.ndarray:

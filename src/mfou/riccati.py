@@ -107,20 +107,27 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class RiccatiRun:
-    """One ODE integration over the bracket grid; unused trajectories stay None."""
+    """One trace-route integration over the bracket grid (fields: see solve_riccati)."""
 
     grid: TimeGrid
     times: np.ndarray
-    theta: float | None = None
-    mu: float | None = None
-    gamma: np.ndarray | None = None
-    trace_gamma_r: np.ndarray | None = None
-    trace_gamma_r_fine: np.ndarray | None = None
-    log_scale: np.ndarray | None = None
-    m_traj: np.ndarray | None = None
-    trace_bound_ratios: np.ndarray | None = None
-    trace_bound_max: float | None = None
-    trace_error: float | None = None
+    theta: float
+    mu: float
+    gamma: np.ndarray
+    trace_gamma_r: np.ndarray
+    trace_gamma_r_fine: np.ndarray
+
+
+@dataclass(frozen=True)
+class MRun:
+    """One M-equation integration with its trace-bound report (fields: see solve_M_equation)."""
+
+    times: np.ndarray
+    log_scale: np.ndarray
+    m_traj: np.ndarray
+    trace_bound_ratios: np.ndarray
+    trace_bound_max: float
+    trace_error: float
 
 
 class RouteValue(float):
@@ -316,7 +323,7 @@ def _magnus_factors(lam: float, psi: np.ndarray, substeps: int, h: float):
     return factor(delta, beta, gamma), factor(-delta, beta, gamma)
 
 
-def solve_M_equation(lam: float, qv: QVTable, horizon: float | None = None) -> RiccatiRun:
+def solve_M_equation(lam: float, qv: QVTable, horizon: float | None = None) -> MRun:
     """M' = lam (A M + M A), M(0) = -I, with the trace-bound report.
 
     A has eigenvalues {0, 2}, so det M = e^{4 lam t} and the entries of M
@@ -374,8 +381,7 @@ def solve_M_equation(lam: float, qv: QVTable, horizon: float | None = None) -> R
     log_psi_tv = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(np.log(psi))))))
     log_ratio = np.log(np.maximum(traces, 1e-300)) - math.log(TRACE_BOUND_CONST) - log_psi_tv
     ratios = np.exp(log_ratio)
-    return RiccatiRun(
-        grid=qv.grid,
+    return MRun(
         times=times,
         log_scale=4.0 * lam * times,
         m_traj=m_traj,

@@ -7,7 +7,8 @@ equation
 
 for 0 < s < t. Then M_t = int_0^t g(s, t) dBtilde_s is a Gaussian martingale
 with bracket <M>_t = int_0^t g(s, t) ds, and the transform applied to an
-observed semimartingale path is invertible through a second kernel.
+observed semimartingale path is invertible through a second kernel (built in
+tests/oracles.py, where it checks the round trip X -> Z -> X).
 
 Discretization: g(., t_j) is represented as a constant on every grid cell
 [t_i, t_{i+1}) and collocated at cell midpoints. For a cellwise-constant
@@ -35,12 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .errors import (
-    GridMismatch,
-    NodeOutOfRange,
-    NonMonotoneBracket,
-    ResidualTooLarge,
-)
+from .errors import NodeOutOfRange, NonMonotoneBracket, ResidualTooLarge
 from .numerics import TimeGrid, finite_diff_derivative
 
 SCHEME_VERSION = 2
@@ -111,23 +107,6 @@ def _residual(image: np.ndarray, j: int) -> float:
     return residual
 
 
-def solve_g(hurst: float, grid: TimeGrid, horizon_index: int, column=None) -> np.ndarray:
-    """Cell values of g(., t_j) for horizon index j (1-based node index).
-
-    `column` replaces the operator's Toeplitz column (at least j entries).
-    """
-    if not (0.0 < hurst < 1.0):
-        raise ValueError(f"kernel equation requires H in (0, 1), got {hurst}")
-    j = int(horizon_index)
-    if j < 1 or j > grid.cells:
-        raise NodeOutOfRange(f"horizon index {j} outside 1..{grid.cells}")
-    c = collocation_column(hurst, grid) if column is None else np.asarray(column, dtype=float)
-    c = c[:j]
-    g, _ = _levinson(c)
-    _residual(toeplitz(c) @ g, j)
-    return g
-
-
 @dataclass(frozen=True)
 class TransferKernel:
     """Triangular table of kernel values.
@@ -157,8 +136,10 @@ def build_kernel(hurst: float, grid: TimeGrid) -> TransferKernel:
     column = collocation_column(hurst, grid)
     matrix = np.zeros((n, n))
     _, min_pivot = _levinson(column, matrix)
-    # A is symmetric, so row j-1 of matrix @ A holds A_j g_j in its first j entries
-    image = matrix @ toeplitz(column)
+    # A is symmetric, so row j-1 of matrix @ A holds A_j g_j in its first j entries;
+    # non-finite entries from a zero or NaN pivot are left to the residual check
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        image = matrix @ toeplitz(column)
     residuals = np.array([_residual(image[j - 1, :j], j) for j in range(1, n + 1)])
     return TransferKernel(
         hurst=float(hurst),
@@ -180,8 +161,9 @@ class QVTable:
     The bracket integrates the cellwise-constant kernel exactly, so
     <M>_{t_j} = dt * sum of column j. The derivative uses the shared
     finite-difference stencils; the first and last node are one-sided. The
-    value psi(0) is tabulated for interpolation but no downstream integral
-    ever gives it weight.
+    one-sided end values carry weight downstream: `compute_Q_batch` weights
+    V's first increment by psi(0) and Z_T by psi(T), and the ODE routes
+    interpolate psi on the first and last interval from them.
     """
 
     hurst: float
@@ -212,60 +194,3 @@ def quadratic_variation(kernel: TransferKernel) -> QVTable:
         derivative=derivative,
         psi_diag=1.0 / derivative,
     )
-
-
-@dataclass(frozen=True)
-class InverseKernel:
-    """Triangular table for reconstructing X from Z; same layout as TransferKernel."""
-
-    hurst: float
-    grid: TimeGrid
-    matrix: np.ndarray
-
-    def column(self, horizon_index: int) -> np.ndarray:
-        j = int(horizon_index)
-        if j < 1 or j > self.grid.cells:
-            raise NodeOutOfRange(f"horizon index {j} outside 1..{self.grid.cells}")
-        return self.matrix[j - 1, :j]
-
-
-def inverse_kernel(kernel: TransferKernel, qv: QVTable) -> InverseKernel:
-    """Reconstruction kernel for X = int ghat(s, t) dZ_s.
-
-    Because M has independent increments, the reconstruction kernel is the
-    bracket-derivative of the cross-moment F(s, t) = E[Btilde_t M_s]:
-
-        ghat(s, t) = d F(s, t) / d<M>_s.
-
-    Expanding M_s against the mixed covariance and eliminating the
-    dBtilde-part with the integrated kernel equation gives
-
-        F(s, t) = s + H int_0^s g(r, s) [(t-r)^{2H-1} - (s-r)^{2H-1}] dr,
-
-    which is exact for the cellwise-constant kernel since each cell has the
-    closed primitive ((t-a)^{2H} - (t-b)^{2H}) / (2H). The kernel value on
-    cell i is the cell-centered ratio (F(t_{i+1}, t) - F(t_i, t)) / (bracket
-    increment), second-order at the cell midpoint. At H = 1/2 the bracket
-    term vanishes, F(s, t) = s and ghat = 2 exactly.
-
-    The shorter identity for the same inverse (1 - d/d<M>_s of an integral
-    of g) does not survive the H = 1/2 closed form when read with the
-    triangular kernel table, so the cross-moment construction above is used
-    instead; the round-trip tests arbitrate.
-    """
-    if kernel.grid != qv.grid:
-        raise GridMismatch("kernel and bracket table built on different grids")
-    n = kernel.grid.cells
-    nodes = kernel.grid.nodes
-    two_h = 2.0 * kernel.hurst
-
-    # P[x-1, i] = (t_x - t_i)^{2H} - (t_x - t_{i+1})^{2H} for cells i < x.
-    gap_lo = nodes[1:, None] - nodes[None, :-1]
-    gap_hi = nodes[1:, None] - nodes[None, 1:]
-    p = np.maximum(gap_lo, 0.0) ** two_h - np.maximum(gap_hi, 0.0) ** two_h
-    s = kernel.matrix @ p.T  # s[a-1, x-1] = sum_i g_i^{(a)} P[x-1, i]
-
-    f = np.zeros((n + 1, n))  # f[a, j-1] = F(t_a, t_j), meaningful for a <= j
-    f[1:, :] = nodes[1:, None] + 0.5 * (s - np.diag(s)[:, None])
-    ghat = np.tril((np.diff(f, axis=0) / qv.bracket_increments()[:, None]).T)
-    return InverseKernel(hurst=kernel.hurst, grid=kernel.grid, matrix=ghat)

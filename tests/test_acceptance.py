@@ -20,10 +20,8 @@ from mfou.experiments import (
 )
 from mfou.inference import (
     compute_Q_batch,
-    compute_Q_direct,
     compute_Z_batch,
     estimate_batch,
-    reconstruct_X,
     sufficient_statistics_batch,
 )
 from mfou.ldp import (
@@ -34,7 +32,7 @@ from mfou.ldp import (
     rate_function_printed,
 )
 from mfou.numerics import RandomStream, TimeGrid
-from mfou.paths import ProcessSpec, fbm_covariance, sample_mixed_path
+from mfou.paths import ProcessSpec, sample_mixed_path
 from mfou.riccati import (
     eigen_split,
     k_T_via_liouville,
@@ -42,8 +40,14 @@ from mfou.riccati import (
     solve_M_equation,
     solve_riccati,
 )
-from mfou.transform import build_kernel, inverse_kernel, quadratic_variation
-from oracles import trapezoid_integral
+from mfou.transform import build_kernel, quadratic_variation
+from oracles import (
+    compute_Q_direct,
+    fbm_covariance,
+    inverse_kernel,
+    reconstruct_X,
+    trapezoid_integral,
+)
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> str:

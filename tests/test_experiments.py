@@ -228,7 +228,7 @@ def test_tilted_tail_agrees_with_plain():
     qv = quadratic_variation(kernel)
     plain = _collect_cell(config, ProcessSpec(0.7, 1.0, grid), kernel, qv, (3, 0, 0, 0))
     tilted = _collect_cell(config, ProcessSpec(0.7, 1.4, grid), kernel, qv, (3, 0, 0, 1), 1.0)
-    ests = _tail_cell_estimates(config, plain, tilted, (1.5, math.inf))
+    ests = _tail_cell_estimates(plain, tilted, (1.5, math.inf))
     (p, se), (p_t, se_t) = ((e["p"], e["p"] * math.sqrt(e["var_logp"])) for e in ests)
     assert [e["method"] for e in ests] == ["plain", "tilted"]
     assert 0.25 < p < 0.45

@@ -6,16 +6,13 @@ from mfou.errors import GridMismatch
 from mfou.inference import (
     ESTIMATE_COLUMNS,
     compute_Q_batch,
-    compute_Q_direct,
     compute_Z_batch,
     estimate_batch,
-    reconstruct_X,
     sufficient_statistics_batch,
 )
-from mfou.numerics import RandomStream, TimeGrid
+from mfou.numerics import RandomStream
 from mfou.paths import ProcessSpec, sample_mixed_path, sample_state_batch
-from mfou.transform import inverse_kernel
-from oracles import trapezoid_integral
+from oracles import compute_Q_direct, inverse_kernel, reconstruct_X, trapezoid_integral
 
 
 @pytest.fixture(scope="module")

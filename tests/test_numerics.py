@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from mfou.errors import GridTooCoarse, LengthMismatch, NotPositiveDefinite
+from mfou.errors import GridTooCoarse, LengthMismatch
 from mfou.numerics import (
     MIN_CELLS,
     RandomStream,
     TimeGrid,
-    cholesky_factor,
     finite_diff_derivative,
     rekeyed,
 )
@@ -119,26 +118,6 @@ def test_rekeyed_generator_matches_fresh_child():
         fresh = base.child(rep, 1).generator().standard_normal(7)
         assert np.array_equal(rng.standard_normal(7), fresh)
         rng.integers(0, 10, dtype=np.uint32)
-
-
-def test_cholesky_known_factor():
-    a = np.array([[4.0, 2.0], [2.0, 3.0]])
-    low = cholesky_factor(a)
-    assert np.allclose(low, [[2.0, 0.0], [1.0, np.sqrt(2.0)]])
-    assert np.allclose(low @ low.T, a)
-
-
-def test_cholesky_rejects_indefinite():
-    with pytest.raises(NotPositiveDefinite) as err:
-        cholesky_factor(np.array([[1.0, 0.0], [0.0, -1.0]]))
-    assert err.value.pivot == 2
-
-
-def test_cholesky_jitters_marginal_matrix():
-    # indefinite only by an amount the jitter retry should absorb
-    a = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-14]])
-    low = cholesky_factor(a)
-    assert np.allclose(low @ low.T, a, atol=1e-10)
 
 
 def test_trapezoid_square_oracle():

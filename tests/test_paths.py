@@ -4,20 +4,19 @@ import scipy.signal
 
 from mfou import paths
 from mfou.cli import EXIT_OK, main
-from mfou.errors import LengthMismatch, NodeSetTooLarge
+from mfou.errors import EmbeddingFailed, LengthMismatch
 from mfou.numerics import RandomStream, TimeGrid
 from mfou.paths import (
     ExperimentalHurstWarning,
     PathBundle,
     ProcessSpec,
-    exact_ou_covariance_oracle,
-    fbm_covariance,
     fgn_autocovariance,
     fgn_covariance_matrix,
     sample_fbm_increments,
     sample_mixed_path,
     sample_state_batch,
 )
+from oracles import NodeSetTooLarge, exact_ou_covariance_oracle, fbm_covariance
 
 
 def _spec(hurst, theta=1.0, horizon=1.0, cells=32):
@@ -134,20 +133,16 @@ def test_euler_states_match_lfilter(rows, n):
 
 
 @pytest.mark.parametrize(
-    "hurst, fallback, fft_rows, reps",
+    "hurst, fft_rows, reps",
     [
-        (0.7, False, None, 3),
-        (1.0, False, None, 3),
-        (0.7, True, None, 3),
-        (0.7, False, 2, 3),
-        (0.7, False, None, 65),
+        (0.7, None, 3),
+        (1.0, None, 3),
+        (0.7, 2, 3),
+        (0.7, None, 65),
     ],
-    ids=["0.7", "1.0", "0.7-fallback", "0.7-fft-blocks", "0.7-65-rows"],
+    ids=["0.7", "1.0", "0.7-fft-blocks", "0.7-65-rows"],
 )
-def test_batch_rows_equal_single_paths(hurst, fallback, fft_rows, reps, monkeypatch):
-    if fallback:
-        # reject the circulant embedding: both paths take the Cholesky branch
-        monkeypatch.setattr(paths, "_embedding_eigenvalues", lambda *args: None)
+def test_batch_rows_equal_single_paths(hurst, fft_rows, reps, monkeypatch):
     if fft_rows is not None:
         # the three rows span two FFT blocks, the second one partial
         monkeypatch.setattr(paths, "_FFT_ROWS", fft_rows)
@@ -184,12 +179,44 @@ def test_ou_covariance_oracle_closed_form():
     assert np.allclose(got, closed, rtol=1e-3)
 
 
+@pytest.mark.parametrize("hurst", [0.5, 0.7, 0.9])
+def test_euler_chain_law_converges_to_ou_oracle(hurst):
+    # the sampled chain is X[1:] = L e with L[k, j] = phi^(k-j) and innovations
+    # e ~ N(0, dt I + fGn covariance), so its exact node covariance is L Sigma L^T;
+    # against the continuous-time law the gap must halve with the step (first order)
+    theta, nodes = 0.8, np.array([0.5, 1.0, 2.0])
+    gaps = {}
+    for cells in (256, 512):
+        spec = _spec(hurst, theta=theta, horizon=2.0, cells=cells)
+        dt = spec.grid.dt
+        sigma = dt * np.eye(cells) + fgn_covariance_matrix(cells, hurst, dt)
+        lags = np.subtract.outer(np.arange(cells), np.arange(cells))
+        lower = np.where(lags >= 0, (1.0 - theta * dt) ** np.maximum(lags, 0), 0.0)
+        rows = np.rint(nodes / dt).astype(int) - 1
+        chain = lower[rows] @ sigma @ lower[rows].T
+        oracle = exact_ou_covariance_oracle(spec, nodes, refine=32)
+        gaps[cells] = float(np.max(np.abs(chain - oracle)) / np.max(np.abs(oracle)))
+    assert gaps[512] <= 2.5e-3
+    assert 1.9 <= gaps[256] / gaps[512] <= 2.1
+
+
 def test_ou_covariance_oracle_limits():
     spec = _spec(0.5)
     with pytest.raises(NodeSetTooLarge):
         exact_ou_covariance_oracle(spec, np.linspace(0.1, 1.0, 33))
     with pytest.raises(ValueError):
         exact_ou_covariance_oracle(spec, np.array([0.0, 0.5]))
+
+
+def test_indefinite_embedding_raises(monkeypatch):
+    # autocovariance 1 at lag 1 and 0 elsewhere: the circulant has eigenvalues
+    # 2 cos(pi k / n), down to -2, so neither sampler may draw from it
+    monkeypatch.setattr(paths, "fgn_autocovariance", lambda lags, hurst, dt: (lags == 1) * 1.0)
+    spec = _spec(0.7, cells=16)
+    with pytest.raises(EmbeddingFailed):
+        sample_fbm_increments(spec, RandomStream(1))
+    with pytest.raises(EmbeddingFailed):
+        sample_state_batch(spec, RandomStream(1), range(2))
 
 
 def test_spec_validation():

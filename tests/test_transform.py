@@ -1,39 +1,31 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import cholesky, solve_triangular, toeplitz
 
+from mfou import transform
 from mfou.errors import NodeOutOfRange, NonMonotoneBracket, ResidualTooLarge
 from mfou.numerics import RandomStream, TimeGrid
 from mfou.paths import ProcessSpec, fgn_covariance_matrix, sample_mixed_path
-from mfou.inference import compute_Z_batch, reconstruct_X
+from mfou.inference import compute_Z_batch
 from mfou.transform import (
     RESIDUAL_BOUND,
     SCHEME_VERSION,
     TransferKernel,
     build_kernel,
     collocation_column,
-    inverse_kernel,
     quadratic_variation,
-    solve_g,
 )
+from oracles import inverse_kernel, reconstruct_X
 
 
-def test_solve_g_h_half_is_constant():
-    grid = TimeGrid(2.0, 32)
+def test_kernel_h_half_is_constant():
+    kern = build_kernel(0.5, TimeGrid(2.0, 32))
     for j in (1, 7, 32):
-        g = solve_g(0.5, grid, j)
+        g = kern.column(j)
         assert g.shape == (j,)
         assert np.max(np.abs(g - 0.5)) < 1e-8
-
-
-def test_solve_g_validation():
-    grid = TimeGrid(2.0, 32)
-    with pytest.raises(ValueError):
-        solve_g(1.0, grid, 4)  # H = 1 has no integral-equation kernel
-    with pytest.raises(NodeOutOfRange):
-        solve_g(0.7, grid, 0)
-    with pytest.raises(NodeOutOfRange):
-        solve_g(0.7, grid, 33)
 
 
 def test_kernel_residual_contract(kernel_07):
@@ -52,6 +44,15 @@ def test_kernel_column_layout(kernel_07):
     assert np.all(kernel_07.matrix[9, 10:] == 0.0)
     with pytest.raises(NodeOutOfRange):
         kernel_07.column(65)
+
+
+def test_solve_g_validation():
+    # the horizon-index checks of the former per-column solver, now on the kernel
+    kern = build_kernel(0.7, TimeGrid(2.0, 32))
+    with pytest.raises(NodeOutOfRange):
+        kern.column(0)
+    with pytest.raises(NodeOutOfRange):
+        kern.column(33)
 
 
 @pytest.mark.parametrize("hurst", [0.3, 0.7])
@@ -134,15 +135,18 @@ def test_roundtrip_reconstruction(kernel_07, qv_07):
     assert rel < 0.02
 
 
-def test_residual_guard_raises():
+def test_residual_guard_raises(monkeypatch):
     # exp(-(d/8)^2) is a symmetric Toeplitz column with condition number ~1e20,
     # too ill-conditioned for the recursion to meet the bound: it must fail loudly
     grid = TimeGrid(2.0, 32)
     smooth = np.exp(-((np.arange(32) / 8.0) ** 2))
-    with pytest.raises(ResidualTooLarge):
-        solve_g(0.7, grid, 32, column=smooth)
     # a zero pivot leaves NaN in the solution, which must not pass as a small residual
     zero_pivot = collocation_column(0.7, grid)
     zero_pivot[0] = 0.0
-    with pytest.raises(ResidualTooLarge):
-        solve_g(0.7, grid, 32, column=zero_pivot)
+    for column in (smooth, zero_pivot):
+        monkeypatch.setattr(transform, "collocation_column", lambda hurst, grid: column.copy())
+        # the failure is the taxonomy error alone, with no numpy warning printed before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ResidualTooLarge):
+                build_kernel(0.7, grid)
