@@ -70,7 +70,7 @@ class ProcessSpec:
             warnings.warn(
                 f"H={self.hurst} < 0.5: kernel accuracy degrades; treated as experimental",
                 ExperimentalHurstWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass-generated __init__, to its caller
             )
 
 

@@ -2,13 +2,15 @@
 
 They stay outside `src/mfou` so that production code never shares them with
 the checks they serve: the trapezoid rule, the fBm covariance and the exact
-covariance of the continuous-time model, the definitional route to Q, and the
-reconstruction kernel of the round trip X -> Z -> X.
+covariance of the continuous-time model, the definitional route to Q, the
+dense residual product of the kernel columns, and the reconstruction kernel of
+the round trip X -> Z -> X.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from mfou.errors import GridMismatch, LengthMismatch, NodeOutOfRange, NumericalError
 from mfou.numerics import TimeGrid
@@ -27,6 +29,15 @@ def trapezoid_integral(values, increments) -> float:
             f"need len(increments) == len(values)-1, got {w.shape[0]} vs {v.shape[0]}"
         )
     return float(np.dot(0.5 * (v[:-1] + v[1:]), w))
+
+
+def dense_kernel_residuals(matrix: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """max |A_j g_j - 1| of every kernel row by the dense O(n^3) product matrix @ toeplitz(column).
+
+    A is symmetric, so row j-1 of matrix @ A holds A_j g_j in its first j entries.
+    """
+    image = matrix @ toeplitz(column)
+    return np.array([np.max(np.abs(image[j - 1, :j] - 1.0)) for j in range(1, column.size + 1)])
 
 
 def fbm_covariance(s, t, hurst: float):

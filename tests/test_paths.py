@@ -227,8 +227,10 @@ def test_spec_validation():
         ProcessSpec(1.1, 1.0, grid)
     with pytest.raises(ValueError):
         ProcessSpec(0.7, 0.0, grid)
-    with pytest.warns(ExperimentalHurstWarning):
+    with pytest.warns(ExperimentalHurstWarning) as record:
         ProcessSpec(0.3, 1.0, grid)
+    # the warning names the line that built the spec, not the generated __init__
+    assert record[0].filename == __file__
 
 
 def test_bundle_length_check():

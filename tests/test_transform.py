@@ -17,7 +17,7 @@ from mfou.transform import (
     collocation_column,
     quadratic_variation,
 )
-from oracles import inverse_kernel, reconstruct_X
+from oracles import dense_kernel_residuals, inverse_kernel, reconstruct_X
 
 
 def test_kernel_h_half_is_constant():
@@ -73,6 +73,44 @@ def test_every_column_matches_dense_solve(hurst):
     for j in (1, 2, 550, 1025, 1026, 1027, 1100):
         exact = np.linalg.solve(a[:j, :j], np.ones(j))
         assert np.max(np.abs(kern.column(j) - exact)) <= 1e-12
+
+
+@pytest.mark.parametrize("hurst", [0.3, 0.7, 0.999])
+def test_fft_residuals_match_dense_product(hurst):
+    # n at and around the 64-row block edges, and past column 1024
+    rng = np.random.default_rng(5)
+    for n in (63, 64, 65, 129, 1100):
+        kern = build_kernel(hurst, TimeGrid(10.0, n))
+        column = collocation_column(hurst, kern.grid)
+        dense = dense_kernel_residuals(kern.matrix, column)
+        assert kern.residuals.shape == (n,)
+        assert np.max(np.abs(kern.residuals - dense)) <= 1e-14
+        # solutions off by ~1e-11 in every entry of the triangle, so that each
+        # entry A_j g_j - 1, the last one included, shows in its row's maximum
+        noisy = kern.matrix + np.tril(rng.uniform(-1e-11, 1e-11, (n, n)))
+        fft = transform._residuals(noisy, column)
+        assert np.max(np.abs(fft - dense_kernel_residuals(noisy, column))) <= 1e-14
+    # 1 and 2 cells lie below the grid minimum; the leading blocks of a kernel are
+    # the kernels of the shorter grid with the same step, so check those directly
+    for n in (1, 2):
+        fft = transform._residuals(kern.matrix[:n, :n], column[:n])
+        dense = dense_kernel_residuals(kern.matrix[:n, :n], column[:n])
+        assert np.max(np.abs(fft - dense)) <= 1e-14
+
+
+def test_residual_check_names_first_failing_column():
+    grid = TimeGrid(10.0, 200)
+    kern = build_kernel(0.7, grid)
+    column = collocation_column(0.7, grid)
+    k = 100  # inside the second 64-row block
+    matrix = kern.matrix.copy()
+    # NaN in row k - 1, in a later row of its block and in a later block
+    for row in (k - 1, k + 1, 190):
+        matrix[row, row // 2] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ResidualTooLarge, match=rf"\(kernel column {k}\)$"):
+            transform._residuals(matrix, column)
 
 
 @pytest.mark.parametrize("hurst", [0.01, 0.999])
