@@ -425,11 +425,10 @@ def _cmd_estimate(args, typed) -> int:
     spec = ProcessSpec(hurst=typed["H"], theta=typed["theta"], grid=kernel.grid)
     base = RandomStream(master_seed=typed["seed"], key=(0,))
     states = sample_state_batch(spec, base, range(typed["reps"]))
-    records = estimate_batch(states, kernel, qv, typed["theta"], range(typed["reps"]))
-    rows = (
-        (r.rep_id, r.hurst, r.theta_true, r.horizon, r.cells, r.theta_hat, r.numerator, r.denominator)
-        for r in records
-    )
+    theta_hat, numerator, denominator = estimate_batch(states, kernel, qv)
+    head = (typed["H"], typed["theta"], kernel.grid.horizon, kernel.grid.cells)
+    stats = zip(theta_hat.tolist(), numerator.tolist(), denominator.tolist())
+    rows = ((rep, *head, *row) for rep, row in enumerate(stats))
     print(_write_csv(args.out, typed["out"], ESTIMATE_COLUMNS, rows))
     return EXIT_OK
 

@@ -51,10 +51,6 @@ class NonMonotoneBracket(NumericalError):
     """Quadratic-variation bracket failed to be strictly increasing."""
 
 
-class NodeOutOfRange(NumericalError, ValueError):
-    """Requested time does not lie on the table's grid."""
-
-
 class PsiNotPositive(NumericalError):
     """Bracket derivative reciprocal psi must be positive to build the ODE matrices."""
 

@@ -31,7 +31,7 @@ from scipy.special import betaincinv, ndtr, ndtri
 from . import DEFAULT_SEED, MIN_CELLS, __version__
 from .cli import _json_safe
 from .errors import ConfigError, ExperimentInvalid, NumericalError
-from .inference import DEGENERATE_DENOMINATOR, path_statistics_batch
+from .inference import estimate_batch
 from .ldp import (
     empirical_cgf,
     k_limit,
@@ -275,23 +275,33 @@ def _chain_statistics(states: np.ndarray, precision: np.ndarray, dt: float):
 def _collect_cell(
     config: ExperimentConfig, spec: ProcessSpec, kernel, qv, key, weigh_to: float | None = None
 ) -> _CellDraws:
-    """Draw one cell; with `weigh_to`, also each path's chain likelihood ratio to that drift."""
+    """Draw one cell; with `weigh_to`, also each path's chain likelihood ratio to that drift.
+
+    A replication survives when `estimate_batch` gives it a finite estimate;
+    a cell where none survives raises ExperimentInvalid.
+    """
     base = RandomStream(master_seed=config.master_seed, key=tuple(key))
     precision = None if weigh_to is None else _chain_precision(spec)
-    stats = []
+    draws = []
     for lo in range(0, config.reps, _CHUNK):
         ids = range(lo, min(lo + _CHUNK, config.reps))
         states = sample_state_batch(spec, base, ids)
-        chunk = path_statistics_batch(states, kernel, qv)
+        chunk = (estimate_batch(states, kernel, qv)[0],)
         if precision is not None:
             a, b = _chain_statistics(states, precision, spec.grid.dt)
             chunk += (_importance_weights(weigh_to, spec.theta, a, b),)
-        stats.append(chunk)
-    num, den, *weights = (np.concatenate(column) for column in zip(*stats))
-    good = np.isfinite(num) & np.isfinite(den) & (den > DEGENERATE_DENOMINATOR)
+        draws.append(chunk)
+    theta_hat, *weights = (np.concatenate(column) for column in zip(*draws))
+    good = np.isfinite(theta_hat)
+    survivors = int(np.count_nonzero(good))
+    if survivors == 0:
+        raise ExperimentInvalid(
+            f"no replication gave a finite estimate at H={spec.hurst}, "
+            f"T={spec.grid.horizon}, drift {spec.theta}"
+        )
     return _CellDraws(
-        theta_hat=-num[good] / den[good],
-        failures=int(config.reps - int(np.count_nonzero(good))),
+        theta_hat=theta_hat[good],
+        failures=config.reps - survivors,
         reps=config.reps,
         weights=weights[0][good] if weights else None,
     )
@@ -316,9 +326,9 @@ def ks_distance(sample, sd: float) -> float:
     return float(max(np.max(i / n - u), np.max(u - (i - 1) / n)))
 
 
-def clopper_pearson(hits: int, trials: int, level: float = CI_LEVEL) -> tuple:
-    """Exact binomial interval via Beta quantiles; closed at empty/full counts."""
-    alpha = 1.0 - level
+def clopper_pearson(hits: int, trials: int) -> tuple:
+    """Exact CI_LEVEL binomial interval via Beta quantiles; closed at empty/full counts."""
+    alpha = 1.0 - CI_LEVEL
     lo = 0.0 if hits == 0 else float(betaincinv(hits, trials - hits + 1, alpha / 2.0))
     hi = 1.0 if hits == trials else float(betaincinv(hits + 1, trials - hits, 1.0 - alpha / 2.0))
     return lo, hi

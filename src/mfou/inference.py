@@ -18,6 +18,10 @@ drift estimator and likelihood only need two path functionals,
 
 giving theta_hat = -numerator/denominator, the maximiser of the
 log-likelihood l(theta) = -theta*numerator - theta^2/2 * denominator.
+`estimate_batch` is the one place that rule is applied: a replication's
+estimate counts when both statistics are finite and the denominator exceeds
+DEGENERATE_DENOMINATOR, and is NaN otherwise; the CLI and every study read
+it from there.
 The chain Z -> Q -> statistics runs in `path_statistics_batch` on
 (reps, nodes) batches of state paths, for the estimator and for every Monte
 Carlo study; one path is the batch state[None]. The definitional route for
@@ -27,8 +31,6 @@ tests/oracles.py as the cross-check of the two-term formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg.blas import dtrmm
 
@@ -36,20 +38,6 @@ from .errors import GridMismatch
 from .transform import QVTable, TransferKernel
 
 DEGENERATE_DENOMINATOR = 1e-14
-
-
-@dataclass(frozen=True)
-class EstimateRecord:
-    """One replication's estimate and its sufficient statistics."""
-
-    rep_id: int
-    hurst: float
-    theta_true: float
-    horizon: float
-    cells: int
-    theta_hat: float
-    numerator: float
-    denominator: float
 
 
 def compute_Z_batch(states: np.ndarray, kernel: TransferKernel) -> np.ndarray:
@@ -95,32 +83,18 @@ def path_statistics_batch(states: np.ndarray, kernel: TransferKernel, qv: QVTabl
     return sufficient_statistics_batch(q, z, qv)
 
 
-def estimate_batch(
-    states: np.ndarray,
-    kernel: TransferKernel,
-    qv: QVTable,
-    theta_true: float,
-    rep_ids,
-) -> list[EstimateRecord]:
-    """Estimates for a batch of state paths; records carry both statistics."""
+def estimate_batch(states: np.ndarray, kernel: TransferKernel, qv: QVTable):
+    """(theta_hat, numerator, denominator) per state path: the one estimator rule.
+
+    theta_hat = -numerator/denominator where both statistics are finite and
+    the denominator exceeds DEGENERATE_DENOMINATOR, NaN everywhere else.
+    """
     numerator, denominator = path_statistics_batch(states, kernel, qv)
-    records = []
-    for r, rep in enumerate(rep_ids):
-        den = float(denominator[r])
-        theta_hat = np.nan if den <= DEGENERATE_DENOMINATOR else -float(numerator[r]) / den
-        records.append(
-            EstimateRecord(
-                rep_id=int(rep),
-                hurst=kernel.hurst,
-                theta_true=float(theta_true),
-                horizon=kernel.grid.horizon,
-                cells=kernel.grid.cells,
-                theta_hat=theta_hat,
-                numerator=float(numerator[r]),
-                denominator=den,
-            )
-        )
-    return records
+    good = np.isfinite(numerator) & np.isfinite(denominator)
+    good &= denominator > DEGENERATE_DENOMINATOR
+    theta_hat = np.full(numerator.shape, np.nan)
+    theta_hat[good] = -numerator[good] / denominator[good]
+    return theta_hat, numerator, denominator
 
 
 ESTIMATE_COLUMNS = (

@@ -50,6 +50,14 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 ESS_RELIABLE = 100.0
 TOP_SHARE_HEAVY = 0.5
 
+# Monte Carlo CGF bootstrap resamples and replications per sampled batch
+_BOOTSTRAP = 200
+_BATCH = 512
+
+# scan points over a tail window: numeric rate, printed formula
+_NUMERIC_POINTS = 129
+_PRINTED_POINTS = 513
+
 
 def cgf_limit(a: float, b: float, theta: float) -> float:
     """Limit of the normalized CGF at coefficients (a, b).
@@ -148,20 +156,21 @@ def _tail_window(gamma_lo: float, gamma_hi: float, theta: float) -> tuple[float,
     return lo, hi
 
 
-def tail_rate_numeric(gamma_lo: float, gamma_hi: float, theta: float, points: int = 129) -> float:
-    """inf over the tail interval of the numeric rate, scanned on a finite grid.
+def tail_rate_numeric(gamma_lo: float, gamma_hi: float, theta: float) -> float:
+    """inf over the tail interval of the numeric rate, scanned on _NUMERIC_POINTS points.
 
     Infinite endpoints are truncated where the rate is already far above the
     interval minimum (the numeric rate grows without bound along the tails).
     """
     lo, hi = _tail_window(gamma_lo, gamma_hi, theta)
-    return min(rate_function_numeric(float(x), theta) for x in np.linspace(lo, hi, points))
+    xs = np.linspace(lo, hi, _NUMERIC_POINTS)
+    return min(rate_function_numeric(float(x), theta) for x in xs)
 
 
-def tail_rate_printed(gamma_lo: float, gamma_hi: float, theta: float, points: int = 513) -> float:
+def tail_rate_printed(gamma_lo: float, gamma_hi: float, theta: float) -> float:
     """inf over the tail interval of the reflected printed formula."""
     lo, hi = _tail_window(gamma_lo, gamma_hi, theta)
-    xs = np.linspace(lo, hi, points)
+    xs = np.linspace(lo, hi, _PRINTED_POINTS)
     vals = [rate_function_printed_reflected(float(x), theta) for x in xs]
     # the reflected formula's only interior minimum candidates are its zero and branch point
     for x in (theta, theta / 3.0):
@@ -174,11 +183,8 @@ def tail_rate_printed(gamma_lo: float, gamma_hi: float, theta: float, points: in
 class CgfEstimate:
     """Monte Carlo estimate of L_T(a, b) with its reliability diagnostics."""
 
-    a: float
-    b: float
     value: float
     stderr: float
-    reps: int
     ess: float
     top_share: float
     heavy_tail: bool
@@ -199,24 +205,21 @@ def empirical_cgf(
     qv: QVTable,
     reps: int,
     stream,
-    *,
-    bootstrap: int = 200,
-    batch: int = 512,
 ) -> CgfEstimate:
     """L_T(a, b) estimated over `reps` simulated paths.
 
-    Uses max-shifted log-mean-exp, reports a bootstrap standard error (the
-    resampling generator is the child stream one past the replication ids),
-    the effective sample size of the exponential weights, and the share of
-    mass carried by the single largest replication. Estimates with
+    Uses max-shifted log-mean-exp, reports a bootstrap standard error over
+    _BOOTSTRAP resamples (the resampling generator is the child stream one
+    past the replication ids), the effective sample size of the exponential
+    weights, and the share of mass carried by the single largest replication. Estimates with
     ESS < 100 are flagged unreliable; top share > 50% flags a heavy tail.
     """
     if kernel.grid != qv.grid or kernel.grid != spec.grid:
         raise GridMismatch("spec, kernel and bracket table must share one grid")
     horizon = spec.grid.horizon
     w = np.empty(reps)
-    for start in range(0, reps, batch):
-        ids = range(start, min(start + batch, reps))
+    for start in range(0, reps, _BATCH):
+        ids = range(start, min(start + _BATCH, reps))
         states = sample_state_batch(spec, stream, ids)
         nums, dens = path_statistics_batch(states, kernel, qv)
         w[start : start + len(nums)] = a * nums + b * dens
@@ -228,16 +231,13 @@ def empirical_cgf(
     top_share = float(np.max(p)) / total
 
     gen = stream.child(reps).generator()
-    idx = gen.integers(0, reps, size=(bootstrap, reps))
+    idx = gen.integers(0, reps, size=(_BOOTSTRAP, reps))
     boot = np.array([_log_mean_exp(w[row])[0] / horizon for row in idx])
     stderr = float(np.std(boot, ddof=1))
 
     return CgfEstimate(
-        a=a,
-        b=b,
         value=value,
         stderr=stderr,
-        reps=reps,
         ess=ess,
         top_share=top_share,
         heavy_tail=top_share > TOP_SHARE_HEAVY,

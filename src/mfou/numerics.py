@@ -61,13 +61,6 @@ class TimeGrid:
         out.flags.writeable = False
         return out
 
-    def index_of(self, t: float, *, atol: float = 1e-9) -> int:
-        """Index of the node equal to `t` (within atol); raises if absent."""
-        k = int(round(t / self.dt))
-        if k < 0 or k > self.cells or abs(k * self.dt - t) > atol:
-            raise ValueError(f"t={t!r} is not a node of {self}")
-        return k
-
 
 @dataclass(frozen=True)
 class RandomStream:

@@ -24,7 +24,7 @@ and re-keys one generator to each, with no SeedSequence per replication.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,7 +83,6 @@ class PathBundle:
     fractional: np.ndarray
     mixed: np.ndarray
     state: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         m = self.spec.grid.cells + 1
@@ -185,7 +184,6 @@ def sample_mixed_path(spec: ProcessSpec, stream: RandomStream) -> PathBundle:
     d_fbm = sample_fbm_increments(spec, stream)
     d_mix = d_bm + d_fbm
     state = _euler_states(d_mix[None], 1.0 - spec.theta * dt)[0]
-    meta = {"fbm_degenerate": spec.hurst == 1.0}
     zero = np.zeros(1)
     return PathBundle(
         spec=spec,
@@ -193,7 +191,6 @@ def sample_mixed_path(spec: ProcessSpec, stream: RandomStream) -> PathBundle:
         fractional=np.concatenate([zero, np.cumsum(d_fbm)]),
         mixed=np.concatenate([zero, np.cumsum(d_mix)]),
         state=state,
-        meta=meta,
     )
 
 

@@ -111,9 +111,7 @@ class RiccatiRun:
 
     grid: TimeGrid
     times: np.ndarray
-    theta: float
     mu: float
-    gamma: np.ndarray
     trace_gamma_r: np.ndarray
     trace_gamma_r_fine: np.ndarray
 
@@ -123,9 +121,7 @@ class MRun:
     """One M-equation integration with its trace-bound report (fields: see solve_M_equation)."""
 
     times: np.ndarray
-    log_scale: np.ndarray
     m_traj: np.ndarray
-    trace_bound_ratios: np.ndarray
     trace_bound_max: float
     trace_error: float
 
@@ -141,10 +137,9 @@ class RouteValue(float):
         return self
 
 
-def _psi_prefix(qv: QVTable, horizon: float | None):
-    """Nodes and psi values on [0, horizon]; psi must be positive there."""
-    stop = qv.grid.cells if horizon is None else qv.grid.index_of(horizon)
-    times, psi = qv.grid.nodes[: stop + 1], qv.psi_diag[: stop + 1]
+def _positive_psi(qv: QVTable):
+    """Nodes and psi values of the bracket table; psi must be positive there."""
+    times, psi = qv.grid.nodes, qv.psi_diag
     if np.any(psi <= 0.0):
         raise PsiNotPositive(f"min psi on [0, {times[-1]:.6g}] = {float(np.min(psi)):.3e}")
     return times, psi
@@ -210,31 +205,29 @@ def _simpson_weights(cells: int, dt: float) -> np.ndarray:
     return w
 
 
-def solve_riccati(theta: float, mu: float, qv: QVTable, horizon: float | None = None) -> RiccatiRun:
-    """Gamma trajectory of the matrix Riccati equation on [0, horizon].
+def solve_riccati(theta: float, mu: float, qv: QVTable) -> RiccatiRun:
+    """tr(Gamma R) along the matrix Riccati equation over the bracket grid.
 
     Moebius steps of the Gauss-4 Magnus transfer matrices from Gamma(0) = 0
-    (module docstring), with one Magnus step per interval (gamma,
-    trace_gamma_r) and with two (trace_gamma_r_fine, for the error
-    estimate). Raises BlowUp at the first interval where Psi_1 turns
-    singular, the expected outcome for tilts outside mu > -theta^2/2.
+    (module docstring), with one Magnus step per interval (trace_gamma_r)
+    and with two (trace_gamma_r_fine, for the error estimate). Raises BlowUp
+    at the first interval where Psi_1 turns singular, the expected outcome
+    for tilts outside mu > -theta^2/2.
     """
-    times, psi = _psi_prefix(qv, horizon)
+    times, psi = _positive_psi(qv)
     gamma = _gamma_paths(theta, mu, times, psi, (1, 2))
     # tr(Gamma R) with Gamma symmetric
     trace = gamma[..., 0, 0] * psi + 2.0 * gamma[..., 0, 1] + gamma[..., 1, 1] / psi
     return RiccatiRun(
         grid=qv.grid,
         times=times,
-        theta=theta,
         mu=mu,
-        gamma=gamma[0],
         trace_gamma_r=trace[0],
         trace_gamma_r_fine=trace[1],
     )
 
 
-def k_T_via_riccati(run: RiccatiRun, horizon: float | None = None) -> RouteValue:
+def k_T_via_riccati(run: RiccatiRun) -> RouteValue:
     """K_T = -(mu/4T) int_0^T tr(Gamma R) dt by composite Simpson over the run's nodes.
 
     The same sum over the two-step trajectory gives the step-doubling
@@ -244,22 +237,16 @@ def k_T_via_riccati(run: RiccatiRun, horizon: float | None = None) -> RouteValue
     """
     if run.mu == 0.0:
         return RouteValue(0.0, 0.0)
-    stop = len(run.times) - 1
-    if horizon is not None:
-        stop = run.grid.index_of(horizon)
-        if stop > len(run.times) - 1:
-            raise ValueError(f"run stops at t={run.times[-1]:.6g}, requested {horizon}")
-    weights = -run.mu / (4.0 * float(run.times[stop])) * _simpson_weights(stop, run.grid.dt)
-    value = float(weights @ run.trace_gamma_r[: stop + 1])
-    error = (16.0 / 15.0) * abs(float(weights @ run.trace_gamma_r_fine[: stop + 1]) - value)
+    cells = len(run.times) - 1
+    weights = -run.mu / (4.0 * float(run.times[-1])) * _simpson_weights(cells, run.grid.dt)
+    value = float(weights @ run.trace_gamma_r)
+    error = (16.0 / 15.0) * abs(float(weights @ run.trace_gamma_r_fine) - value)
     if not error <= ROUTE_ERROR_BOUND:
         raise ResidualTooLarge(error, ROUTE_ERROR_BOUND, "trace route error estimate")
     return RouteValue(value, error)
 
 
-def k_T_via_liouville(
-    theta: float, mu: float, qv: QVTable, horizon: float | None = None
-) -> RouteValue:
+def k_T_via_liouville(theta: float, mu: float, qv: QVTable) -> RouteValue:
     """K_T from log det Psi_1(T), the determinant route, read off one M-equation run.
 
     K_T = theta/2 - lam + (log 4 lam^2 - log(a_+^2 + a_+ a_- tau + a_-^2
@@ -272,7 +259,7 @@ def k_T_via_liouville(
     if mu == 0.0:
         return RouteValue(0.0, 0.0)
     lam, a_plus, a_minus = eigen_split(theta, mu)
-    run = solve_M_equation(lam, qv, horizon)
+    run = solve_M_equation(lam, qv)
     t_end = float(run.times[-1])
     tau = float(np.trace(run.m_traj[-1]))
     decay = math.exp(-4.0 * lam * t_end)
@@ -323,12 +310,12 @@ def _magnus_factors(lam: float, psi: np.ndarray, substeps: int, h: float):
     return factor(delta, beta, gamma), factor(-delta, beta, gamma)
 
 
-def solve_M_equation(lam: float, qv: QVTable, horizon: float | None = None) -> MRun:
+def solve_M_equation(lam: float, qv: QVTable) -> MRun:
     """M' = lam (A M + M A), M(0) = -I, with the trace-bound report.
 
     A has eigenvalues {0, 2}, so det M = e^{4 lam t} and the entries of M
-    grow like e^{4 lam t}; every stored matrix is the true one times
-    e^{-4 lam t}, so log_scale = 4 lam t exactly. One Gauss-4 Magnus step
+    grow like e^{4 lam t}; every matrix of m_traj is the true one times
+    e^{-4 lam t}. One Gauss-4 Magnus step
     per grid interval (module docstring) advances M <- e^{Omega_L} M
     e^{Omega_R}. M is the ratio Upsilon_2^{-1} Upsilon_1 of the split pair in
     the module docstring; the pair itself is never formed. trace_error is
@@ -349,12 +336,12 @@ def solve_M_equation(lam: float, qv: QVTable, horizon: float | None = None) -> M
     psi is constant, tr M = -(1 + e^{4 lam t}) and the ratio is
     (1 + e^{-4 lam t})/2. For the piecewise-linear psi that the integrator
     sees, TV_0^t log psi is the cumulative sum of |diff(log psi_diag)|.
-    trace_bound_ratios holds |tr M(t)| over that envelope per node,
-    evaluated in log space; its max must not pass 1.
+    trace_bound_max is the largest ratio of |tr M(t)| to that envelope over
+    the nodes (`_trace_bound_ratios`); it must not pass 1.
     """
     if lam < 0.0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
-    times, psi = _psi_prefix(qv, horizon)
+    times, psi = _positive_psi(qv)
     stop = len(times) - 1
     dt = qv.grid.dt
 
@@ -376,16 +363,21 @@ def solve_M_equation(lam: float, qv: QVTable, horizon: float | None = None) -> M
     tau = float(np.trace(m_traj[-1]))
     trace_error = (16.0 / 15.0) * abs(float(np.trace(m[1, -1])) - tau)
     trace_error += stop * _EPS * float(np.max(np.abs(m_traj[-1])))
+    return MRun(
+        times=times,
+        m_traj=m_traj,
+        trace_bound_max=float(np.max(_trace_bound_ratios(m_traj, psi))),
+        trace_error=trace_error,
+    )
 
+
+def _trace_bound_ratios(m_traj: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """|tr M(t)| over the envelope 2 exp(4 lam t + TV_0^t log psi) at every node.
+
+    `m_traj` is stored with the factor e^{-4 lam t} (solve_M_equation), so
+    the envelope's exponential part cancels; the ratio is taken in log space.
+    """
     traces = np.abs(np.trace(m_traj, axis1=1, axis2=2))
     log_psi_tv = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(np.log(psi))))))
     log_ratio = np.log(np.maximum(traces, 1e-300)) - math.log(TRACE_BOUND_CONST) - log_psi_tv
-    ratios = np.exp(log_ratio)
-    return MRun(
-        times=times,
-        log_scale=4.0 * lam * times,
-        m_traj=m_traj,
-        trace_bound_ratios=ratios,
-        trace_bound_max=float(np.max(ratios)),
-        trace_error=trace_error,
-    )
+    return np.exp(log_ratio)

@@ -28,19 +28,18 @@ Computations, sec. 4.7) solves A_j g = 1 for every leading block j in one
 O(n^2) pass, which is exactly one kernel column per horizon. Every column is
 then checked against RESIDUAL_BOUND: A_j g_j is the leading part of the
 linear convolution of g_j with c(|d|), which is taken in blocks of rows by
-FFT over a circulant embedding of A, O(n^2 log n) for all n columns.
+FFT over a circulant embedding of A, O(n^2 log n) for all n columns. The
+kernel keeps the worst of those residuals in its `meta`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NodeOutOfRange, NonMonotoneBracket, ResidualTooLarge
+from .errors import NonMonotoneBracket, ResidualTooLarge
 from .numerics import TimeGrid, finite_diff_derivative
-
-SCHEME_VERSION = 2
 
 # Contract bound on the collocation residual of every kernel column.
 RESIDUAL_BOUND = 1e-9
@@ -66,14 +65,14 @@ def collocation_column(hurst: float, grid: TimeGrid) -> np.ndarray:
     return column
 
 
-def _levinson(column: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+def _levinson(column: np.ndarray, rows: np.ndarray) -> float:
     """Solve toeplitz(column)[:j, :j] g = 1 for every j by the Levinson recursion.
 
     Golub & Van Loan, Algorithm 4.7.2, on the unit-diagonal matrix A / c_0.
-    Row j-1 of `rows`, when given, receives the block-j solution. Returns the
-    full-size solution and the smallest pivot beta * c_0 (the ratio of
-    consecutive leading minors). A zero or NaN pivot leaves non-finite
-    values in the solutions, which the residual check rejects.
+    Row j-1 of `rows` receives the block-j solution. Returns the smallest
+    pivot beta * c_0 (the ratio of consecutive leading minors). A zero or
+    NaN pivot leaves non-finite values in the solutions, which the residual
+    check rejects.
     """
     n = column.size
     c0 = column[0]
@@ -83,8 +82,7 @@ def _levinson(column: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.nd
         r = column[1:] / c0
         b = 1.0 / c0
         x[0] = b
-        if rows is not None:
-            rows[0, 0] = b
+        rows[0, 0] = b
         beta, min_pivot = 1.0, c0
         alpha = -r[0] if n > 1 else 0.0
         y[0] = alpha
@@ -94,13 +92,12 @@ def _levinson(column: np.ndarray, rows: np.ndarray | None = None) -> tuple[np.nd
             mu = (b - r[:k] @ x[k - 1 :: -1]) / beta
             x[:k] += mu * y[k - 1 :: -1]
             x[k] = mu
-            if rows is not None:
-                rows[k, : k + 1] = x[: k + 1]
+            rows[k, : k + 1] = x[: k + 1]
             if k < n - 1:
                 alpha = (-r[k] - r[:k] @ y[k - 1 :: -1]) / beta
                 y[:k] += alpha * y[k - 1 :: -1]
                 y[k] = alpha
-    return x, float(min_pivot)
+    return float(min_pivot)
 
 
 def _smooth_length(size: int) -> int:
@@ -148,23 +145,14 @@ def _residuals(matrix: np.ndarray, column: np.ndarray) -> np.ndarray:
 class TransferKernel:
     """Triangular table of kernel values.
 
-    `matrix[j-1, i]` is the value of g on cell i for horizon t_j (zero for
-    i >= j); `residuals[j-1]` is that column's collocation residual. `meta`
-    records the worst residual (`max_residual`) and the smallest Levinson
-    pivot (`min_pivot`).
+    `matrix[j-1, :j]` is g on the cells of horizon t_j (zero beyond). `meta`
+    records the worst collocation residual over all columns (`max_residual`)
+    and the smallest Levinson pivot (`min_pivot`).
     """
 
-    hurst: float
     grid: TimeGrid
     matrix: np.ndarray
-    residuals: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def column(self, horizon_index: int) -> np.ndarray:
-        j = int(horizon_index)
-        if j < 1 or j > self.grid.cells:
-            raise NodeOutOfRange(f"horizon index {j} outside 1..{self.grid.cells}")
-        return self.matrix[j - 1, :j]
+    meta: dict
 
 
 def build_kernel(hurst: float, grid: TimeGrid) -> TransferKernel:
@@ -172,15 +160,12 @@ def build_kernel(hurst: float, grid: TimeGrid) -> TransferKernel:
     n = grid.cells
     column = collocation_column(hurst, grid)
     matrix = np.zeros((n, n))
-    _, min_pivot = _levinson(column, matrix)
+    min_pivot = _levinson(column, matrix)
     residuals = _residuals(matrix, column)
     return TransferKernel(
-        hurst=float(hurst),
         grid=grid,
         matrix=matrix,
-        residuals=residuals,
         meta={
-            "scheme_version": SCHEME_VERSION,
             "max_residual": float(residuals.max()),
             "min_pivot": min_pivot,
         },
@@ -199,7 +184,6 @@ class QVTable:
     interpolate psi on the first and last interval from them.
     """
 
-    hurst: float
     grid: TimeGrid
     bracket: np.ndarray
     derivative: np.ndarray
@@ -221,7 +205,6 @@ def quadratic_variation(kernel: TransferKernel) -> QVTable:
     if np.any(derivative <= 0.0):
         raise NonMonotoneBracket("bracket derivative is not positive")
     return QVTable(
-        hurst=kernel.hurst,
         grid=kernel.grid,
         bracket=bracket,
         derivative=derivative,

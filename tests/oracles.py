@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import toeplitz
 
-from mfou.errors import GridMismatch, LengthMismatch, NodeOutOfRange, NumericalError
+from mfou.errors import GridMismatch, LengthMismatch, NumericalError
 from mfou.numerics import TimeGrid
 from mfou.paths import ProcessSpec
 from mfou.transform import QVTable, TransferKernel, build_kernel
@@ -107,7 +107,9 @@ def exact_ou_covariance_oracle(spec: ProcessSpec, nodes, refine: int = 8) -> np.
     return weights @ inc_cov @ weights.T
 
 
-def compute_Q_direct(state: np.ndarray, kernel: TransferKernel, qv: QVTable) -> np.ndarray:
+def compute_Q_direct(
+    state: np.ndarray, hurst: float, kernel: TransferKernel, qv: QVTable
+) -> np.ndarray:
     """Q from its definition: d/d<M>_t of N(t) = int_0^t g(s, t) X_s ds.
 
     Summation by parts against the kernel primitive G(s, t) = int_0^s g(r, t) dr
@@ -134,8 +136,8 @@ def compute_Q_direct(state: np.ndarray, kernel: TransferKernel, qv: QVTable) -> 
         raise GridMismatch("kernel and bracket table built on different grids")
     if x.shape != (n + 1,):
         raise GridMismatch(f"path has {x.shape[0]} nodes, kernel grid has {n + 1}")
-    ext = build_kernel(kernel.hurst, TimeGrid(horizon=kernel.grid.horizon + dt, cells=n + 1))
-    ext = ext.column(n + 1)
+    ext = build_kernel(hurst, TimeGrid(horizon=kernel.grid.horizon + dt, cells=n + 1))
+    ext = ext.matrix[n, : n + 1]
 
     # big_g[j, s] = G(t_s, t_j) for horizons j = 0..n+1; rows saturate at <M>_{t_j}
     # and row 0 is the horizon-0 continuation G(s, 0) = 0
@@ -155,18 +157,17 @@ def compute_Q_direct(state: np.ndarray, kernel: TransferKernel, qv: QVTable) -> 
 class InverseKernel:
     """Triangular table for reconstructing X from Z; same layout as TransferKernel."""
 
-    hurst: float
     grid: TimeGrid
     matrix: np.ndarray
 
     def column(self, horizon_index: int) -> np.ndarray:
         j = int(horizon_index)
         if j < 1 or j > self.grid.cells:
-            raise NodeOutOfRange(f"horizon index {j} outside 1..{self.grid.cells}")
+            raise IndexError(f"horizon index {j} outside 1..{self.grid.cells}")
         return self.matrix[j - 1, :j]
 
 
-def inverse_kernel(kernel: TransferKernel, qv: QVTable) -> InverseKernel:
+def inverse_kernel(hurst: float, kernel: TransferKernel, qv: QVTable) -> InverseKernel:
     """Reconstruction kernel for X = int ghat(s, t) dZ_s.
 
     Because M has independent increments, the reconstruction kernel is the
@@ -194,7 +195,7 @@ def inverse_kernel(kernel: TransferKernel, qv: QVTable) -> InverseKernel:
         raise GridMismatch("kernel and bracket table built on different grids")
     n = kernel.grid.cells
     nodes = kernel.grid.nodes
-    two_h = 2.0 * kernel.hurst
+    two_h = 2.0 * hurst
 
     # P[x-1, i] = (t_x - t_i)^{2H} - (t_x - t_{i+1})^{2H} for cells i < x.
     gap_lo = nodes[1:, None] - nodes[None, :-1]
@@ -205,7 +206,7 @@ def inverse_kernel(kernel: TransferKernel, qv: QVTable) -> InverseKernel:
     f = np.zeros((n + 1, n))  # f[a, j-1] = F(t_a, t_j), meaningful for a <= j
     f[1:, :] = nodes[1:, None] + 0.5 * (s - np.diag(s)[:, None])
     ghat = np.tril((np.diff(f, axis=0) / qv.bracket_increments()[:, None]).T)
-    return InverseKernel(hurst=kernel.hurst, grid=kernel.grid, matrix=ghat)
+    return InverseKernel(grid=kernel.grid, matrix=ghat)
 
 
 def reconstruct_X(z: np.ndarray, inverse: InverseKernel) -> np.ndarray:

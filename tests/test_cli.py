@@ -208,11 +208,11 @@ def test_estimate_csv_columns(tmp_path):
     qv = quadratic_variation(kernel)
     spec = ProcessSpec(0.7, 1.0, kernel.grid)
     states = sample_state_batch(spec, RandomStream(DEFAULT_SEED, (0,)), range(3))
-    records = estimate_batch(states, kernel, qv, 1.0, range(3))
+    theta_hat = estimate_batch(states, kernel, qv)[0]
     rows = [line.split(",") for line in lines[1:]]
     assert all(len(row) == len(ESTIMATE_COLUMNS) for row in rows)
     column = ESTIMATE_COLUMNS.index("theta_hat")
-    assert [float(row[column]) for row in rows] == [r.theta_hat for r in records]
+    assert [float(row[column]) for row in rows] == theta_hat.tolist()
 
 
 def test_verbose_reports_kernel_health(tmp_path, capsys):
@@ -353,6 +353,33 @@ def test_write_outputs_empty_report(tmp_path):
     assert not (tmp_path / "empty.csv").exists()
     assert (tmp_path / "empty_manifest.json").exists()
     assert len(written) == 1
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        ["kind=tails", "reps=10"],
+        ["kind=tails", "reps=10", "tilt=1.4"],
+        ["kind=normality", "reps=500"],
+    ],
+    ids=["tails", "tails-tilted", "normality"],
+)
+def test_cell_without_survivors_exits_numerical(tmp_path, settings):
+    # at T = 1e-8 every replication's denominator is degenerate, so no
+    # estimate survives: a taxonomy error, not a traceback or numpy warnings
+    argv = ["experiment", "--out", str(tmp_path)]
+    for item in settings + ["T=0.00000001", "cells=8"]:
+        argv += ["--set", item]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mfou.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 3
+    assert "numerical failure: ExperimentInvalid: no replication gave a finite" in proc.stderr
+    assert "H=0.7, T=1e-08, drift 1.0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    # the tails study's own thin-tail notice is the only RuntimeWarning allowed
+    warned = [line for line in proc.stderr.splitlines() if "RuntimeWarning" in line]
+    assert all("importance sampling will be needed" in line for line in warned), warned
 
 
 def test_help_runs_clean():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from mfou import experiments
 from mfou.errors import ConfigError, ExperimentInvalid
 from mfou.experiments import (
     CGF_COLUMNS,
@@ -217,6 +218,22 @@ def test_chain_statistics_at_h_half(kernel_half, qv_half):
     num, den = path_statistics_batch(states, kernel_half, qv_half)
     assert np.allclose(a, num, rtol=0.0, atol=1e-12)
     assert np.allclose(den - b, dt * states[:, -1] ** 2 / 4.0, rtol=0.0, atol=1e-13)
+
+
+def test_cell_without_survivors_raises(monkeypatch):
+    # every replication's estimate NaN: the cell names H, T and the drift
+    config = ExperimentConfig(hurst=(0.7,), horizons=(2.0,), cells=16, reps=4)
+    grid = config.grid_for(2.0)
+    kernel = build_kernel(0.7, grid)
+    qv = quadratic_variation(kernel)
+
+    def all_nan(states, kernel, qv):
+        nan = np.full(len(states), np.nan)
+        return nan, nan, nan
+
+    monkeypatch.setattr(experiments, "estimate_batch", all_nan)
+    with pytest.raises(ExperimentInvalid, match=r"H=0\.7, T=2\.0, drift 1\.4$"):
+        _collect_cell(config, ProcessSpec(0.7, 1.4, grid), kernel, qv, (3, 0, 0, 1), 1.0)
 
 
 def test_tilted_tail_agrees_with_plain():

@@ -1,9 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from mfou.cli import EXIT_OK, main
+from mfou import inference
 from mfou.errors import GridMismatch
 from mfou.inference import (
+    DEGENERATE_DENOMINATOR,
     ESTIMATE_COLUMNS,
     compute_Q_batch,
     compute_Z_batch,
@@ -23,7 +27,9 @@ def path_half(grid_half):
 
 @pytest.fixture(scope="module")
 def record_half(path_half, kernel_half, qv_half):
-    return estimate_batch(path_half.state[None], kernel_half, qv_half, 1.0, [0])[0]
+    arrays = estimate_batch(path_half.state[None], kernel_half, qv_half)
+    theta_hat, numerator, denominator = (float(a[0]) for a in arrays)
+    return SimpleNamespace(theta_hat=theta_hat, numerator=numerator, denominator=denominator)
 
 
 def _log_likelihood(theta, record):
@@ -101,7 +107,7 @@ def test_q_representations_agree(kernel_07, qv_07):
     spec = ProcessSpec(0.7, 1.0, kernel_07.grid)
     bundle = sample_mixed_path(spec, RandomStream(13, (2,)))
     q, _ = compute_Q_batch(compute_Z_batch(bundle.state[None], kernel_07), qv_07)
-    q_direct = compute_Q_direct(bundle.state, kernel_07, qv_07)
+    q_direct = compute_Q_direct(bundle.state, 0.7, kernel_07, qv_07)
     gap = np.max(np.abs(q[0] - q_direct)) / np.max(np.abs(q_direct))
     assert gap < 0.05
 
@@ -109,31 +115,36 @@ def test_q_representations_agree(kernel_07, qv_07):
 def test_estimate_scale_invariant(kernel_07, qv_07):
     spec = ProcessSpec(0.7, 1.0, kernel_07.grid)
     states = sample_state_batch(spec, RandomStream(5), range(3))
-    base = estimate_batch(states, kernel_07, qv_07, 1.0, range(3))
-    scaled = estimate_batch(17.0 * states, kernel_07, qv_07, 1.0, range(3))
-    for a, b in zip(base, scaled):
-        assert b.theta_hat == pytest.approx(a.theta_hat, rel=1e-12)
+    base = estimate_batch(states, kernel_07, qv_07)[0]
+    scaled = estimate_batch(17.0 * states, kernel_07, qv_07)[0]
+    assert np.allclose(scaled, base, rtol=1e-12, atol=0.0)
 
 
 def test_estimate_records(kernel_07, qv_07):
     spec = ProcessSpec(0.7, 1.2, kernel_07.grid)
     states = sample_state_batch(spec, RandomStream(9), [4, 8])
-    records = estimate_batch(states, kernel_07, qv_07, 1.2, [4, 8])
-    assert [r.rep_id for r in records] == [4, 8]
-    for r in records:
-        assert r.hurst == 0.7
-        assert r.theta_true == 1.2
-        assert r.horizon == kernel_07.grid.horizon
-        assert r.cells == kernel_07.grid.cells
-        assert r.denominator > 0.0
-        assert r.theta_hat == pytest.approx(-r.numerator / r.denominator)
+    theta_hat, numerator, denominator = estimate_batch(states, kernel_07, qv_07)
+    assert theta_hat.shape == numerator.shape == denominator.shape == (2,)
+    assert np.all(denominator > 0.0)
+    assert np.array_equal(theta_hat, -numerator / denominator)
 
 
 def test_degenerate_path(kernel_07, qv_07):
     zero = np.zeros((1, kernel_07.grid.cells + 1))
-    record = estimate_batch(zero, kernel_07, qv_07, 1.0, [0])[0]
-    assert np.isnan(record.theta_hat)
-    assert record.denominator == 0.0
+    theta_hat, numerator, denominator = estimate_batch(zero, kernel_07, qv_07)
+    assert np.isnan(theta_hat[0])
+    assert numerator[0] == 0.0 and denominator[0] == 0.0
+
+
+def test_non_finite_statistics_give_nan(kernel_07, qv_07, monkeypatch):
+    # one rule: theta_hat is NaN unless both statistics are finite and the
+    # denominator clears DEGENERATE_DENOMINATOR
+    numerator = np.array([1.0, np.inf, np.nan, 1.0, 1.0, 1.0, -2.0])
+    denominator = np.array([np.inf, 1.0, 1.0, np.nan, DEGENERATE_DENOMINATOR, 0.0, 4.0])
+    monkeypatch.setattr(inference, "path_statistics_batch", lambda *_: (numerator, denominator))
+    theta_hat = estimate_batch(None, kernel_07, qv_07)[0]
+    assert np.all(np.isnan(theta_hat[:-1]))
+    assert theta_hat[-1] == 0.5
 
 
 def test_grid_mismatch_raises(kernel_07, qv_07):
@@ -142,8 +153,8 @@ def test_grid_mismatch_raises(kernel_07, qv_07):
     with pytest.raises(GridMismatch):
         compute_Z_batch(np.zeros((2, 10)), kernel_07)
     with pytest.raises(GridMismatch):
-        compute_Q_direct(np.zeros(10), kernel_07, qv_07)
-    inv = inverse_kernel(kernel_07, qv_07)
+        compute_Q_direct(np.zeros(10), 0.7, kernel_07, qv_07)
+    inv = inverse_kernel(0.7, kernel_07, qv_07)
     with pytest.raises(GridMismatch):
         reconstruct_X(np.zeros(10), inv)
 
@@ -154,15 +165,14 @@ def test_estimates_csv_contract(kernel_07, qv_07, tmp_path):
     assert main(args + ["--out", str(tmp_path)]) == EXIT_OK
     spec = ProcessSpec(0.7, 1.0, kernel_07.grid)
     states = sample_state_batch(spec, RandomStream(1, (0,)), range(2))
-    records = estimate_batch(states, kernel_07, qv_07, 1.0, range(2))
+    theta_hat = estimate_batch(states, kernel_07, qv_07)[0]
     lines = (tmp_path / "estimates.csv").read_text().strip().split("\n")
     assert lines[0] == ",".join(ESTIMATE_COLUMNS)
     assert len(lines) == 3
     row = lines[1].split(",")
     assert len(row) == len(ESTIMATE_COLUMNS)
-    assert float(row[ESTIMATE_COLUMNS.index("theta_hat")]) == pytest.approx(
-        records[0].theta_hat
-    )
+    column = ESTIMATE_COLUMNS.index("theta_hat")
+    assert float(row[column]) == pytest.approx(theta_hat[0])
 
 
 def test_triangular_z_matches_dense_product(kernel_07):

@@ -27,17 +27,6 @@ def test_grid_nodes_frozen():
         grid.nodes[0] = 1.0
 
 
-def test_grid_index_of():
-    grid = TimeGrid(4.0, 16)
-    assert grid.index_of(0.0) == 0
-    assert grid.index_of(1.0) == 4
-    assert grid.index_of(4.0) == 16
-    with pytest.raises(ValueError):
-        grid.index_of(1.1)
-    with pytest.raises(ValueError):
-        grid.index_of(4.25)
-
-
 def test_grid_validation():
     with pytest.raises(ValueError):
         TimeGrid(0.0, 16)

@@ -129,7 +129,7 @@ def test_linear_routes_converge_at_long_horizon():
     for cells, mu in ((256, 2.0), (128, 4.0)):
         qv = quadratic_variation(build_kernel(0.7, TimeGrid(20.0, cells)))
         run = solve_M_equation(eigen_split(1.0, mu)[0], qv)
-        assert run.log_scale[-1] > 0.0
+        assert run.times[-1] == 20.0
         assert np.all(np.isfinite(run.m_traj))
         assert run.trace_bound_max <= 1.0
 
@@ -174,23 +174,16 @@ def test_mu_zero_short_circuits(qv_07):
     assert k_T_via_liouville(1.0, 0.0, qv_07) == 0.0
 
 
-def test_prefix_horizon(qv_07):
-    run = solve_riccati(1.0, 0.5, qv_07)
-    short = solve_riccati(1.0, 0.5, qv_07, horizon=1.0)
-    assert k_T_via_riccati(run, 1.0) == k_T_via_riccati(short)
-    with pytest.raises(ValueError):
-        k_T_via_riccati(run, 0.99)  # not a grid node
-
-
 def test_run_metadata(qv_07):
     run = solve_riccati(1.2, 0.5, qv_07)
-    assert run.theta == 1.2
     assert run.mu == 0.5
     assert run.times[0] == 0.0
     assert run.times[-1] == qv_07.grid.horizon
-    assert np.all(np.isfinite(run.gamma))
+    # tr(Gamma R) against per-node traces of the one-step Gamma trajectory
+    gamma = riccati._gamma_paths(1.2, 0.5, run.times, qv_07.psi_diag, (1,))[0]
+    assert np.all(np.isfinite(gamma))
     r = np.array([[[p, 1.0], [1.0, 1.0 / p]] for p in qv_07.psi_diag])
-    reference = np.trace(run.gamma @ r, axis1=1, axis2=2)
+    reference = np.trace(gamma @ r, axis1=1, axis2=2)
     assert np.allclose(run.trace_gamma_r, reference, rtol=1e-14, atol=1e-15)
 
 
@@ -237,13 +230,13 @@ def test_m_equation_split_identity(qv_07):
         comm = (math.sqrt(3.0) / 12.0) * h * h * (a2 @ a1 - a1 @ a2)
         ups1 = ups1 @ expm(0.5 * lam * h * (a1 + a2) - lam * lam * comm)
         ups2 = ups2 @ expm(-0.5 * lam * h * (a1 + a2) - lam * lam * comm)
-    # stored matrices carry the common factor e^{-log_scale}
+    # stored matrices carry the common factor e^{-4 lam t}
     recon = np.linalg.solve(ups2, ups1)
-    assert np.max(np.abs(run.m_traj[j] * math.exp(run.log_scale[j]) - recon)) < 1e-6
-    assert np.allclose(run.log_scale, 4.0 * lam * run.times, rtol=1e-15, atol=0.0)
-    assert run.trace_bound_ratios.shape == run.times.shape
-    assert np.all(np.isfinite(run.trace_bound_ratios))
-    assert run.trace_bound_max == np.max(run.trace_bound_ratios)
+    assert np.max(np.abs(run.m_traj[j] * math.exp(4.0 * lam * run.times[j]) - recon)) < 1e-6
+    ratios = riccati._trace_bound_ratios(run.m_traj, psi)
+    assert ratios.shape == run.times.shape
+    assert np.all(np.isfinite(ratios))
+    assert run.trace_bound_max == np.max(ratios)
 
 
 def test_m_equation_lam_zero_is_frozen(qv_07):
@@ -255,16 +248,18 @@ def test_m_equation_lam_zero_is_frozen(qv_07):
 
 def test_m_equation_h_half_closed_form(qv_half):
     # psi = 2 is constant, so tr M(t) = -(1 + e^{4 lam t}) and every Magnus
-    # step is exact; mu = 2 grows M to e^{30}, so the comparison runs through log_scale
+    # step is exact; mu = 2 grows M to e^{30}, so the comparison runs through
+    # the stored factor e^{-4 lam t}
     lam, _, _ = eigen_split(1.0, 2.0)
     run = solve_M_equation(lam, qv_half)
-    assert run.log_scale[-1] > 0.0
     trace = np.trace(run.m_traj, axis1=1, axis2=2)
     assert np.all(trace < 0.0)
-    log_exact = np.log1p(np.exp(4.0 * lam * run.times))
-    assert np.max(np.abs(np.log(-trace) + run.log_scale - log_exact)) < 1e-12
-    expected = 0.5 * (1.0 + np.exp(-4.0 * lam * run.times))
-    assert np.allclose(run.trace_bound_ratios, expected, rtol=1e-12, atol=0.0)
+    log_scale = 4.0 * lam * run.times
+    log_exact = np.log1p(np.exp(log_scale))
+    assert np.max(np.abs(np.log(-trace) + log_scale - log_exact)) < 1e-12
+    expected = 0.5 * (1.0 + np.exp(-log_scale))
+    ratios = riccati._trace_bound_ratios(run.m_traj, qv_half.psi_diag)
+    assert np.allclose(ratios, expected, rtol=1e-12, atol=0.0)
     assert run.trace_bound_max == 1.0  # attained at t = 0
 
 

@@ -5,13 +5,12 @@ import pytest
 from scipy.linalg import cholesky, solve_triangular, toeplitz
 
 from mfou import transform
-from mfou.errors import NodeOutOfRange, NonMonotoneBracket, ResidualTooLarge
+from mfou.errors import NonMonotoneBracket, ResidualTooLarge
 from mfou.numerics import RandomStream, TimeGrid
 from mfou.paths import ProcessSpec, fgn_covariance_matrix, sample_mixed_path
 from mfou.inference import compute_Z_batch
 from mfou.transform import (
     RESIDUAL_BOUND,
-    SCHEME_VERSION,
     TransferKernel,
     build_kernel,
     collocation_column,
@@ -23,36 +22,27 @@ from oracles import dense_kernel_residuals, inverse_kernel, reconstruct_X
 def test_kernel_h_half_is_constant():
     kern = build_kernel(0.5, TimeGrid(2.0, 32))
     for j in (1, 7, 32):
-        g = kern.column(j)
+        g = kern.matrix[j - 1, :j]
         assert g.shape == (j,)
         assert np.max(np.abs(g - 0.5)) < 1e-8
 
 
 def test_kernel_residual_contract(kernel_07):
-    assert kernel_07.residuals.shape == (64,)
-    assert np.all(np.isfinite(kernel_07.residuals))
-    assert np.max(kernel_07.residuals) <= RESIDUAL_BOUND
-    assert kernel_07.meta["scheme_version"] == SCHEME_VERSION
-    assert kernel_07.meta["max_residual"] == np.max(kernel_07.residuals)
+    residuals = transform._residuals(kernel_07.matrix, collocation_column(0.7, kernel_07.grid))
+    assert residuals.shape == (64,)
+    assert np.all(np.isfinite(residuals))
+    assert np.max(residuals) <= RESIDUAL_BOUND
+    assert set(kernel_07.meta) == {"max_residual", "min_pivot"}
+    assert kernel_07.meta["max_residual"] == np.max(residuals)
     assert 0.0 < kernel_07.meta["min_pivot"] <= collocation_column(0.7, kernel_07.grid)[0]
 
 
 def test_kernel_column_layout(kernel_07):
-    col = kernel_07.column(10)
-    assert col.shape == (10,)
-    assert np.array_equal(col, kernel_07.matrix[9, :10])
+    # row j - 1 holds horizon t_j's column on cells 0..j-1 and zeros past it
+    assert kernel_07.matrix.shape == (64, 64)
+    assert np.all(kernel_07.matrix[9, :10] != 0.0)
     assert np.all(kernel_07.matrix[9, 10:] == 0.0)
-    with pytest.raises(NodeOutOfRange):
-        kernel_07.column(65)
-
-
-def test_solve_g_validation():
-    # the horizon-index checks of the former per-column solver, now on the kernel
-    kern = build_kernel(0.7, TimeGrid(2.0, 32))
-    with pytest.raises(NodeOutOfRange):
-        kern.column(0)
-    with pytest.raises(NodeOutOfRange):
-        kern.column(33)
+    assert np.array_equal(kernel_07.matrix, np.tril(kernel_07.matrix))
 
 
 @pytest.mark.parametrize("hurst", [0.3, 0.7])
@@ -66,13 +56,13 @@ def test_every_column_matches_dense_solve(hurst):
     lower = cholesky(a, lower=True)
     u = solve_triangular(lower, np.ones(grid.cells), lower=True)
     worst = max(
-        float(np.max(np.abs(kern.column(j) - solve_triangular(lower[:j, :j].T, u[:j]))))
+        float(np.max(np.abs(kern.matrix[j - 1, :j] - solve_triangular(lower[:j, :j].T, u[:j]))))
         for j in range(1, grid.cells + 1)
     )
     assert worst <= 1e-12
     for j in (1, 2, 550, 1025, 1026, 1027, 1100):
         exact = np.linalg.solve(a[:j, :j], np.ones(j))
-        assert np.max(np.abs(kern.column(j) - exact)) <= 1e-12
+        assert np.max(np.abs(kern.matrix[j - 1, :j] - exact)) <= 1e-12
 
 
 @pytest.mark.parametrize("hurst", [0.3, 0.7, 0.999])
@@ -83,8 +73,10 @@ def test_fft_residuals_match_dense_product(hurst):
         kern = build_kernel(hurst, TimeGrid(10.0, n))
         column = collocation_column(hurst, kern.grid)
         dense = dense_kernel_residuals(kern.matrix, column)
-        assert kern.residuals.shape == (n,)
-        assert np.max(np.abs(kern.residuals - dense)) <= 1e-14
+        fft = transform._residuals(kern.matrix, column)
+        assert fft.shape == (n,)
+        assert np.max(np.abs(fft - dense)) <= 1e-14
+        assert kern.meta["max_residual"] == np.max(fft)
         # solutions off by ~1e-11 in every entry of the triangle, so that each
         # entry A_j g_j - 1, the last one included, shows in its row's maximum
         noisy = kern.matrix + np.tril(rng.uniform(-1e-11, 1e-11, (n, n)))
@@ -143,8 +135,8 @@ def test_bracket_variance_oracle(kernel_07, qv_07):
     # Var(M_t) = g^T C g with C the covariance of the mixed increments
     grid = kernel_07.grid
     for j in (16, 32, 64):
-        g = kernel_07.column(j)
-        c = grid.dt * np.eye(j) + fgn_covariance_matrix(j, kernel_07.hurst, grid.dt)
+        g = kernel_07.matrix[j - 1, :j]
+        c = grid.dt * np.eye(j) + fgn_covariance_matrix(j, 0.7, grid.dt)
         quad = float(g @ c @ g)
         assert quad == pytest.approx(qv_07.bracket[j], rel=5e-3)
 
@@ -154,10 +146,9 @@ def test_quadratic_variation_rejects_nonmonotone():
     matrix = np.tril(np.ones((8, 8)))
     matrix[1] *= -1.0  # second row sum below the first
     kern = TransferKernel(
-        hurst=0.7,
         grid=grid,
         matrix=matrix,
-        residuals=np.zeros(8),
+        meta={},
     )
     with pytest.raises(NonMonotoneBracket):
         quadratic_variation(kern)
@@ -167,7 +158,7 @@ def test_roundtrip_reconstruction(kernel_07, qv_07):
     spec = ProcessSpec(0.7, 1.0, kernel_07.grid)
     bundle = sample_mixed_path(spec, RandomStream(3, (1,)))
     z = compute_Z_batch(bundle.state[None], kernel_07)[0]
-    inv = inverse_kernel(kernel_07, qv_07)
+    inv = inverse_kernel(0.7, kernel_07, qv_07)
     back = reconstruct_X(z, inv)
     rel = np.max(np.abs(back - bundle.state)) / np.max(np.abs(bundle.state))
     assert rel < 0.02
