@@ -24,7 +24,7 @@ import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, toeplitz
 from scipy.linalg.blas import dgemm
 from scipy.special import betaincinv, ndtr, ndtri
 
@@ -41,7 +41,7 @@ from .ldp import (
     tail_rate_printed,
 )
 from .numerics import RandomStream, TimeGrid
-from .paths import ProcessSpec, fgn_covariance_matrix, sample_state_batch
+from .paths import ProcessSpec, fgn_autocovariance, sample_state_batch
 from .riccati import k_T_via_liouville, k_T_via_riccati, solve_riccati
 from .transform import build_kernel, quadratic_variation
 
@@ -255,8 +255,9 @@ def _chain_precision(spec: ProcessSpec) -> np.ndarray:
     X_left. The zero last row and column drop X_T from X_left.
     """
     n, dt = spec.grid.cells, spec.grid.dt
-    sigma = fgn_covariance_matrix(n, spec.hurst, dt)
-    sigma[np.diag_indices(n)] += dt
+    column = fgn_autocovariance(np.arange(n), spec.hurst, dt)
+    column[0] += dt
+    sigma = toeplitz(column)
     padded = np.zeros((n + 1, n + 1))
     padded[:n, :n] = cho_solve(cho_factor(sigma), np.eye(n))
     return padded
@@ -699,12 +700,12 @@ def run_cgf_convergence(config: ExperimentConfig) -> ExperimentReport:
     """K_T by all three routes across the horizon grid, against the limit.
 
     Per (H, mu, T) cell: the trace route, the determinant route, and the
-    Monte Carlo estimate with its bootstrap error, plus distances to the
-    closed-form limit. Each route's numerical failure is recorded in its own
-    field of the cell (`blowup` is set when any route failed) and does not
-    discard the other routes' values. The trend per (H, mu) runs over the
-    Riccati distances and passes when they do not increase along the horizon
-    grid and the last one is within 0.05.
+    Monte Carlo estimate with its delta-method standard error, plus distances
+    to the closed-form limit. Each route's numerical failure is recorded in
+    its own field of the cell (`blowup` is set when any route failed) and
+    does not discard the other routes' values. The trend per (H, mu) runs
+    over the Riccati distances and passes when they do not increase along the
+    horizon grid and the last one is within 0.05.
     """
     if not config.mu_grid:
         raise ConfigError("cgf study needs a mu lattice")

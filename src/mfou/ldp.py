@@ -19,8 +19,18 @@ goes through that one reflection. The two rates still differ: at x = 0.2
 the printed value is 0.6 and the numeric one 0.8, and for x < 0 the numeric
 objective is unbounded below (rate +inf) where the printed one is finite.
 
+Both rates fall to their zero at theta and rise past it: the reflected
+printed formula is convex and C^1 (its branches meet with slope -2 at
+theta/3), and the numeric rate is (x - theta)^2/(4x) for x > 0 and +inf for
+x <= 0. So the infimum over an interval (lo, hi) is the rate at the point
+of the closed interval nearest theta, clamp(theta, lo, hi), and the tail
+rates evaluate there once.
+
 `empirical_cgf` estimates L_T(a, b) by Monte Carlo over simulated paths
-with an overflow-safe log-mean-exp.
+with an overflow-safe log-mean-exp. Its standard error is the delta
+method's: with the max-shifted weights p of R replications,
+se = sd(p) / (mean(p) sqrt(R)) / T, and NaN for R < 2, where no spread
+can be measured.
 """
 
 from __future__ import annotations
@@ -50,13 +60,8 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 ESS_RELIABLE = 100.0
 TOP_SHARE_HEAVY = 0.5
 
-# Monte Carlo CGF bootstrap resamples and replications per sampled batch
-_BOOTSTRAP = 200
+# Monte Carlo CGF replications per sampled batch
 _BATCH = 512
-
-# scan points over a tail window: numeric rate, printed formula
-_NUMERIC_POINTS = 129
-_PRINTED_POINTS = 513
 
 
 def cgf_limit(a: float, b: float, theta: float) -> float:
@@ -149,34 +154,14 @@ def rate_function_numeric(x: float, theta: float) -> float:
     return -f(_golden_section(f, bl, bh))
 
 
-def _tail_window(gamma_lo: float, gamma_hi: float, theta: float) -> tuple[float, float]:
-    """The tail interval with infinite ends truncated 10*theta past the other end."""
-    lo = gamma_lo if math.isfinite(gamma_lo) else min(-10.0 * theta, gamma_hi - 10.0 * theta)
-    hi = gamma_hi if math.isfinite(gamma_hi) else max(10.0 * theta, gamma_lo + 10.0 * theta)
-    return lo, hi
-
-
 def tail_rate_numeric(gamma_lo: float, gamma_hi: float, theta: float) -> float:
-    """inf over the tail interval of the numeric rate, scanned on _NUMERIC_POINTS points.
-
-    Infinite endpoints are truncated where the rate is already far above the
-    interval minimum (the numeric rate grows without bound along the tails).
-    """
-    lo, hi = _tail_window(gamma_lo, gamma_hi, theta)
-    xs = np.linspace(lo, hi, _NUMERIC_POINTS)
-    return min(rate_function_numeric(float(x), theta) for x in xs)
+    """inf over the tail interval of the numeric rate, at clamp(theta, lo, hi)."""
+    return rate_function_numeric(min(max(theta, gamma_lo), gamma_hi), theta)
 
 
 def tail_rate_printed(gamma_lo: float, gamma_hi: float, theta: float) -> float:
-    """inf over the tail interval of the reflected printed formula."""
-    lo, hi = _tail_window(gamma_lo, gamma_hi, theta)
-    xs = np.linspace(lo, hi, _PRINTED_POINTS)
-    vals = [rate_function_printed_reflected(float(x), theta) for x in xs]
-    # the reflected formula's only interior minimum candidates are its zero and branch point
-    for x in (theta, theta / 3.0):
-        if lo <= x <= hi:
-            vals.append(rate_function_printed_reflected(x, theta))
-    return float(min(vals))
+    """inf over the tail interval of the reflected printed rate, at clamp(theta, lo, hi)."""
+    return rate_function_printed_reflected(min(max(theta, gamma_lo), gamma_hi), theta)
 
 
 @dataclass(frozen=True)
@@ -191,12 +176,6 @@ class CgfEstimate:
     unreliable: bool
 
 
-def _log_mean_exp(w: np.ndarray) -> tuple[float, np.ndarray]:
-    m = float(np.max(w))
-    p = np.exp(w - m)
-    return m + math.log(float(np.mean(p))), p
-
-
 def empirical_cgf(
     a: float,
     b: float,
@@ -208,11 +187,11 @@ def empirical_cgf(
 ) -> CgfEstimate:
     """L_T(a, b) estimated over `reps` simulated paths.
 
-    Uses max-shifted log-mean-exp, reports a bootstrap standard error over
-    _BOOTSTRAP resamples (the resampling generator is the child stream one
-    past the replication ids), the effective sample size of the exponential
-    weights, and the share of mass carried by the single largest replication. Estimates with
-    ESS < 100 are flagged unreliable; top share > 50% flags a heavy tail.
+    Uses max-shifted log-mean-exp, reports the delta-method standard error
+    (NaN below two replications), the effective sample size of the
+    exponential weights, and the share of mass carried by the single largest
+    replication. Estimates with ESS < 100 are flagged unreliable; top share
+    > 50% flags a heavy tail.
     """
     if kernel.grid != qv.grid or kernel.grid != spec.grid:
         raise GridMismatch("spec, kernel and bracket table must share one grid")
@@ -224,16 +203,17 @@ def empirical_cgf(
         nums, dens = path_statistics_batch(states, kernel, qv)
         w[start : start + len(nums)] = a * nums + b * dens
 
-    lme, p = _log_mean_exp(w)
-    value = lme / horizon
+    m = float(np.max(w))
+    p = np.exp(w - m)
+    mean = float(np.mean(p))
+    value = (m + math.log(mean)) / horizon
     total = float(np.sum(p))
     ess = total * total / float(np.sum(p * p))
     top_share = float(np.max(p)) / total
-
-    gen = stream.child(reps).generator()
-    idx = gen.integers(0, reps, size=(_BOOTSTRAP, reps))
-    boot = np.array([_log_mean_exp(w[row])[0] / horizon for row in idx])
-    stderr = float(np.std(boot, ddof=1))
+    stderr = math.nan
+    if reps > 1:
+        # d log(mean) = d mean / mean, so Var(log mean) ~ Var(p) / (R mean^2)
+        stderr = float(np.std(p, ddof=1)) / (mean * math.sqrt(reps)) / horizon
 
     return CgfEstimate(
         value=value,

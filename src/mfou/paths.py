@@ -104,12 +104,6 @@ def fgn_autocovariance(lags, hurst: float, dt: float) -> np.ndarray:
     return dt**two_h * gamma
 
 
-def fgn_covariance_matrix(n: int, hurst: float, dt: float) -> np.ndarray:
-    """Dense n x n covariance of consecutive fGn increments."""
-    idx = np.arange(n)
-    return fgn_autocovariance(np.abs(idx[:, None] - idx[None, :]), hurst, dt)
-
-
 def _embedding_eigenvalues(n: int, hurst: float, dt: float) -> np.ndarray:
     """Eigenvalues of the 2n circulant embedding, roundoff below zero clipped."""
     gamma = fgn_autocovariance(np.arange(n + 1), hurst, dt)

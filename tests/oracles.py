@@ -1,10 +1,10 @@
 """Reference computations that only the tests use.
 
 They stay outside `src/mfou` so that production code never shares them with
-the checks they serve: the trapezoid rule, the fBm covariance and the exact
-covariance of the continuous-time model, the definitional route to Q, the
-dense residual product of the kernel columns, and the reconstruction kernel of
-the round trip X -> Z -> X.
+the checks they serve: the trapezoid rule, the fBm covariance, the dense fGn
+covariance, the exact covariance of the continuous-time model, the
+definitional route to Q, the dense residual product of the kernel columns, and
+the reconstruction kernel of the round trip X -> Z -> X.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,7 @@ from scipy.linalg import toeplitz
 
 from mfou.errors import GridMismatch, LengthMismatch, NumericalError
 from mfou.numerics import TimeGrid
-from mfou.paths import ProcessSpec
+from mfou.paths import ProcessSpec, fgn_autocovariance
 from mfou.transform import QVTable, TransferKernel, build_kernel
 
 
@@ -50,6 +50,12 @@ def fbm_covariance(s, t, hurst: float):
         raise ValueError("time arguments must be nonnegative")
     two_h = 2.0 * hurst
     return 0.5 * (s**two_h + t**two_h - np.abs(t - s) ** two_h)
+
+
+def fgn_covariance_matrix(n: int, hurst: float, dt: float) -> np.ndarray:
+    """Dense n x n covariance of consecutive fGn increments, element by element."""
+    idx = np.arange(n)
+    return fgn_autocovariance(np.abs(idx[:, None] - idx[None, :]), hurst, dt)
 
 
 class NodeSetTooLarge(NumericalError, ValueError):
@@ -159,12 +165,6 @@ class InverseKernel:
 
     grid: TimeGrid
     matrix: np.ndarray
-
-    def column(self, horizon_index: int) -> np.ndarray:
-        j = int(horizon_index)
-        if j < 1 or j > self.grid.cells:
-            raise IndexError(f"horizon index {j} outside 1..{self.grid.cells}")
-        return self.matrix[j - 1, :j]
 
 
 def inverse_kernel(hurst: float, kernel: TransferKernel, qv: QVTable) -> InverseKernel:

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -285,6 +286,19 @@ def test_cgf_routes_match_study(tmp_path):
         else:
             assert value == study[column]
             assert row[6] == "0.0"
+
+
+def test_cgf_mc_single_replication_has_nan_stderr(tmp_path):
+    # one replication has no spread to measure: NaN, not a bootstrap's 0.0, and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["cgf", "--method", "mc", "--set", "reps=1", "--set", "cells=16",
+                     "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    lines = (tmp_path / "cgf.csv").read_text().strip().split("\n")
+    assert lines[0].split(",")[6] == "stderr"
+    assert len(lines) > 1
+    assert all(line.split(",")[6] == "nan" for line in lines[1:])
 
 
 def test_set_overrides_config_file(tmp_path):

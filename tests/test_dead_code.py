@@ -5,7 +5,9 @@ uses belongs in `tests/oracles.py` (a reference the tests compare against) or
 nowhere. An error class that nothing raises is a promise the taxonomy does not
 keep. A method or dataclass field that no code in `src/mfou` or `perfbench/`
 reads is state kept for the tests alone, and a default-valued parameter that
-no call there passes is an option with one value in use.
+no call there passes is an option with one value in use. A definition or
+method of `tests/oracles.py` that no test reaches is a reference with nothing
+to check.
 
 Receivers are typed from what the source states: parameter annotations,
 `self`, constructor calls, return annotations and field annotations. A
@@ -22,7 +24,8 @@ from pathlib import Path
 import mfou
 
 SRC = Path(mfou.__file__).resolve().parent
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TESTS = Path(__file__).resolve().parent
+PERFBENCH = TESTS.parent / "perfbench"
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
 READERS = list(MODULES.values()) + [
     ast.parse(path.read_text(encoding="utf-8")) for path in PERFBENCH.glob("*.py")
@@ -75,6 +78,29 @@ def test_every_error_class_is_raised_in_the_package():
     # a family base (MfouError, NumericalError) counts through the classes derived from it
     bases = {b.id for node in classes.values() for b in node.bases if isinstance(b, ast.Name)}
     assert sorted(set(classes) - raised - bases) == []
+
+
+def test_every_oracle_is_used_by_a_test():
+    # an oracle counts when a test file, or another oracle that a test can reach, reads it
+    oracles = ast.parse((TESTS / "oracles.py").read_text(encoding="utf-8"))
+    tests = [ast.parse(path.read_text(encoding="utf-8")) for path in TESTS.glob("test_*.py")]
+    everywhere = sum((_names(tree) for tree in tests + [oracles]), Counter())
+    attributes = Counter(
+        node.attr
+        for tree in tests + [oracles]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    )
+    unused = []
+    for node in oracles.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if everywhere[node.name] == _names(node)[node.name]:
+            unused.append(node.name)
+        for method in _methods(node) if isinstance(node, ast.ClassDef) else ():
+            if not method.name.startswith("__") and attributes[method.name] == 0:
+                unused.append(f"{node.name}.{method.name}")
+    assert unused == []
 
 
 # -- members and options ------------------------------------------------------

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.linalg import cho_factor, cho_solve
 
 from mfou import experiments
 from mfou.errors import ConfigError, ExperimentInvalid
@@ -38,6 +39,7 @@ from mfou.inference import (
 from mfou.numerics import RandomStream, TimeGrid
 from mfou.paths import ProcessSpec, sample_state_batch
 from mfou.transform import build_kernel, quadratic_variation
+from oracles import fgn_covariance_matrix
 
 
 def test_config_defaults_and_roundtrip():
@@ -206,6 +208,18 @@ def test_chain_weight_has_unit_mean():
     se = w.std(ddof=1) / math.sqrt(w.size)
     assert abs(w.mean() - 1.0) <= 2.0 * se
     assert se < 0.01
+
+
+@pytest.mark.parametrize("hurst", [0.55, 0.9])
+@pytest.mark.parametrize("cells", [128, 384])
+def test_chain_precision_matches_dense_sigma(hurst, cells):
+    # Sigma from its Toeplitz column holds the same bits as the element-wise dense matrix
+    spec = ProcessSpec(hurst, 1.0, TimeGrid(5.0, cells))
+    dt = spec.grid.dt
+    sigma = dt * np.eye(cells) + fgn_covariance_matrix(cells, hurst, dt)
+    precision = _chain_precision(spec)
+    assert np.array_equal(precision[:cells, :cells], cho_solve(cho_factor(sigma), np.eye(cells)))
+    assert not precision[cells].any() and not precision[:, cells].any()
 
 
 def test_chain_statistics_at_h_half(kernel_half, qv_half):

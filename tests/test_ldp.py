@@ -106,9 +106,36 @@ def test_tail_rates_frozen():
     assert tail_rate_numeric(1.5, math.inf, 1.0) == pytest.approx(1.0 / 24.0, abs=1e-6)
 
 
-def test_tail_rate_printed_interior_minimum():
-    # interval containing theta: infimum 0 at the interior zero
-    assert tail_rate_printed(0.0, 2.0, 1.0) == pytest.approx(0.0)
+TAIL_RATES = [(tail_rate_printed, rate_function_printed_reflected),
+              (tail_rate_numeric, rate_function_numeric)]
+
+
+@pytest.mark.parametrize("tail", [tail for tail, _ in TAIL_RATES])
+@pytest.mark.parametrize("gamma", [(0.55, 1.37), (0.3, 1.2), (-2.0, 3.0), (0.0, 2.0)])
+def test_tail_rate_zero_when_interval_holds_theta(tail, gamma):
+    # theta inside the interval, wherever it falls, gives the rate's zero
+    assert tail(*gamma, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("tail, rate", TAIL_RATES)
+@pytest.mark.parametrize(
+    "gamma, window",
+    [
+        ((1.5, math.inf), (1.5, 11.5)),
+        ((2.0, math.inf), (2.0, 12.0)),
+        ((-math.inf, 0.5), (-9.5, 0.5)),
+        ((0.2, 0.9), None),
+        ((1.01, 1.02), None),
+        ((1.2, 2.0), None),
+    ],
+)
+def test_tail_rate_is_the_interval_minimum(tail, rate, gamma, window):
+    # one evaluation at clamp(theta, lo, hi) against a dense scan of the interval
+    lo, hi = window or gamma
+    vals = np.array([rate(float(x), 1.0) for x in np.linspace(lo, hi, 10_001)])
+    got = tail(*gamma, 1.0)
+    assert np.all(got <= vals)
+    assert vals.min() - got <= 1e-9
 
 
 def _tail_draws(theta, kernel, qv, reps, seed):

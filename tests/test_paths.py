@@ -11,12 +11,16 @@ from mfou.paths import (
     PathBundle,
     ProcessSpec,
     fgn_autocovariance,
-    fgn_covariance_matrix,
     sample_fbm_increments,
     sample_mixed_path,
     sample_state_batch,
 )
-from oracles import NodeSetTooLarge, exact_ou_covariance_oracle, fbm_covariance
+from oracles import (
+    NodeSetTooLarge,
+    exact_ou_covariance_oracle,
+    fbm_covariance,
+    fgn_covariance_matrix,
+)
 
 
 def _spec(hurst, theta=1.0, horizon=1.0, cells=32):

@@ -7,7 +7,7 @@ from scipy.linalg import cholesky, solve_triangular, toeplitz
 from mfou import transform
 from mfou.errors import NonMonotoneBracket, ResidualTooLarge
 from mfou.numerics import RandomStream, TimeGrid
-from mfou.paths import ProcessSpec, fgn_covariance_matrix, sample_mixed_path
+from mfou.paths import ProcessSpec, sample_mixed_path
 from mfou.inference import compute_Z_batch
 from mfou.transform import (
     RESIDUAL_BOUND,
@@ -16,7 +16,7 @@ from mfou.transform import (
     collocation_column,
     quadratic_variation,
 )
-from oracles import dense_kernel_residuals, inverse_kernel, reconstruct_X
+from oracles import dense_kernel_residuals, fgn_covariance_matrix, inverse_kernel, reconstruct_X
 
 
 def test_kernel_h_half_is_constant():
