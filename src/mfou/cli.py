@@ -417,17 +417,18 @@ def _cmd_kernel(args, typed) -> int:
 def _cmd_estimate(args, typed) -> int:
     from .inference import ESTIMATE_COLUMNS, estimate_batch
     from .numerics import RandomStream
-    from .paths import ProcessSpec, sample_state_batch
+    from .paths import ProcessSpec, sample_state_chunks
     from .transform import quadratic_variation
 
     kernel = _kernel(typed, args.verbose)
     qv = quadratic_variation(kernel)
     spec = ProcessSpec(hurst=typed["H"], theta=typed["theta"], grid=kernel.grid)
     base = RandomStream(master_seed=typed["seed"], key=(0,))
-    states = sample_state_batch(spec, base, range(typed["reps"]))
-    theta_hat, numerator, denominator = estimate_batch(states, kernel, qv)
+    # (theta_hat, numerator, denominator) per replication, all drawn before the CSV opens
+    stats = []
+    for states in sample_state_chunks(spec, base, typed["reps"]):
+        stats += zip(*(column.tolist() for column in estimate_batch(states, kernel, qv)))
     head = (typed["H"], typed["theta"], kernel.grid.horizon, kernel.grid.cells)
-    stats = zip(theta_hat.tolist(), numerator.tolist(), denominator.tolist())
     rows = ((rep, *head, *row) for rep, row in enumerate(stats))
     print(_write_csv(args.out, typed["out"], ESTIMATE_COLUMNS, rows))
     return EXIT_OK
@@ -519,9 +520,7 @@ def _cmd_experiment(args, typed) -> int:
     for path in written:
         print(path)
     print(f"{report.name}: pass={'true' if report.passed else 'false'}")
-    if args.check and not report.passed:
-        return EXIT_GATE
-    return EXIT_OK
+    return EXIT_GATE if args.check and not report.passed else EXIT_OK
 
 
 # subcommand name -> (help line, handler); the parser and main both read it

@@ -41,7 +41,7 @@ from .ldp import (
     tail_rate_printed,
 )
 from .numerics import RandomStream, TimeGrid
-from .paths import ProcessSpec, fgn_autocovariance, sample_state_batch
+from .paths import ProcessSpec, fgn_autocovariance, sample_state_chunks
 from .riccati import k_T_via_liouville, k_T_via_riccati, solve_riccati
 from .transform import build_kernel, quadratic_variation
 
@@ -58,7 +58,6 @@ MU_MARGIN = 0.1
 CI_LEVEL = 0.95
 QUANTILE_PROBS = (0.05, 0.25, 0.5, 0.75, 0.95)
 
-_CHUNK = 2048
 _EXP_NORMALITY = 1
 _EXP_TAILS = 2
 _EXP_CGF = 3
@@ -161,27 +160,29 @@ class ExperimentConfig:
                 raise ConfigError(f"T must be positive, got {t}")
         if any(b <= a for a, b in zip(self.horizons, self.horizons[1:])):
             raise ConfigError("horizons must be strictly increasing")
+        for name in ("cells", "reps", "master_seed", "threads"):
+            value = getattr(self, name)
+            if value is not None:
+                if not float(value).is_integer():
+                    raise ConfigError(f"{name} must be an integer, got {value}")
+                object.__setattr__(self, name, int(value))
         if (self.cells is None) == (self.cells_per_unit is None):
             raise ConfigError("set exactly one of cells / cells_per_unit")
-        if self.cells is not None and int(self.cells) < MIN_CELLS:
+        if self.cells is not None and self.cells < MIN_CELLS:
             raise ConfigError(f"cells must be at least {MIN_CELLS}, got {self.cells}")
         if self.cells_per_unit is not None and not self.cells_per_unit > 0.0:
             raise ConfigError(f"cells_per_unit must be positive, got {self.cells_per_unit}")
-        if int(self.reps) < 1:
+        if self.reps < 1:
             raise ConfigError(f"reps must be at least 1, got {self.reps}")
-        if int(self.master_seed) < 0:
+        if self.master_seed < 0:
             raise ConfigError(f"master_seed must be nonnegative, got {self.master_seed}")
         for lo, hi in self.tails:
             if not lo < hi:
                 raise ConfigError(f"tail interval ({lo}, {hi}) is empty")
         if self.tilt is not None and not self.tilt > 0.0:
             raise ConfigError(f"tilt must be a positive drift, got {self.tilt}")
-        if self.threads is not None and int(self.threads) < 1:
+        if self.threads is not None and self.threads < 1:
             raise ConfigError(f"threads must be at least 1, got {self.threads}")
-        object.__setattr__(self, "cells", None if self.cells is None else int(self.cells))
-        object.__setattr__(self, "reps", int(self.reps))
-        object.__setattr__(self, "master_seed", int(self.master_seed))
-        object.__setattr__(self, "threads", None if self.threads is None else int(self.threads))
 
     def grid_for(self, horizon: float) -> TimeGrid:
         if self.cells is not None:
@@ -284,9 +285,7 @@ def _collect_cell(
     base = RandomStream(master_seed=config.master_seed, key=tuple(key))
     precision = None if weigh_to is None else _chain_precision(spec)
     draws = []
-    for lo in range(0, config.reps, _CHUNK):
-        ids = range(lo, min(lo + _CHUNK, config.reps))
-        states = sample_state_batch(spec, base, ids)
+    for states in sample_state_chunks(spec, base, config.reps):
         chunk = (estimate_batch(states, kernel, qv)[0],)
         if precision is not None:
             a, b = _chain_statistics(states, precision, spec.grid.dt)
@@ -356,10 +355,7 @@ def _check_prob(p: float, lo: float, hi: float, context: str) -> None:
 
 
 def _cells(config: ExperimentConfig, built: list):
-    """(h_idx, t_idx, kernel, qv, spec) for every (H, T) cell, H-major.
-
-    The meta of every kernel built is appended to `built`.
-    """
+    """(h_idx, t_idx, kernel, qv, spec) per (H, T) cell, H-major; kernel metas go to `built`."""
     for h_idx, hurst in enumerate(config.hurst):
         for t_idx, horizon in enumerate(config.horizons):
             grid = config.grid_for(horizon)
@@ -449,7 +445,6 @@ def _expected_hits_warning(config: ExperimentConfig) -> None:
                         f"tail ({lo}, {hi}) at H={hurst}, T={horizon} expects "
                         f"~{expected:.1f} hits (< {MIN_HITS}); importance sampling "
                         "will be needed",
-                        RuntimeWarning,
                         stacklevel=3,
                     )
 
@@ -480,10 +475,11 @@ def _tail_cell_estimates(draws, tilted, gamma):
         terms = tilted.weights * ind_t
         n_t = tilted.theta_hat.size
         p_t = min(max(float(np.mean(terms)), 0.0), 1.0)
-        se = float(np.std(terms, ddof=1)) / math.sqrt(n_t)
         hits_t = int(np.count_nonzero(ind_t))
+        # one survivor measures no spread: no error bar, and no bound on p
+        se = float(np.std(terms, ddof=1)) / math.sqrt(n_t) if n_t > 1 else math.nan
         z = float(ndtri(0.5 + CI_LEVEL / 2.0))
-        ci_t = (max(p_t - z * se, 0.0), min(p_t + z * se, 1.0))
+        ci_t = (max(p_t - z * se, 0.0), min(p_t + z * se, 1.0)) if n_t > 1 else (0.0, 1.0)
         var_logp_t = (se / p_t) ** 2 if p_t > 0.0 else math.nan
         out.append(
             {
@@ -502,10 +498,8 @@ def _tail_cell_estimates(draws, tilted, gamma):
 
 
 def _preferred(estimates) -> dict:
-    plain = estimates[0]
-    if not plain["insufficient"] or len(estimates) == 1:
-        return plain
-    return estimates[1]
+    # the plain estimate, unless its hits are too thin and a tilted one exists
+    return estimates[-1] if estimates[0]["insufficient"] else estimates[0]
 
 
 def _scan_tails(config: ExperimentConfig, exp_id: int, gammas, built: list):
@@ -525,9 +519,7 @@ def _scan_tails(config: ExperimentConfig, exp_id: int, gammas, built: list):
             tilted = _collect_cell(
                 config, spec_t, kernel, qv, (exp_id, h_idx, t_idx, 1), config.theta
             )
-        attrition = max(
-            draws.attrition, tilted.attrition if tilted is not None else 0.0
-        )
+        attrition = max(draws.attrition, tilted.attrition if tilted is not None else 0.0)
         for g_idx, gamma in enumerate(gammas):
             ests = _tail_cell_estimates(draws, tilted, gamma)
             for est in ests:
@@ -817,7 +809,6 @@ def run_h_invariance(config: ExperimentConfig) -> ExperimentReport:
     if len(config.hurst) >= 2 and (min(config.hurst) > 0.55 or max(config.hurst) < 0.9):
         warnings.warn(
             "H grid does not span [0.55, 0.9]; the invariance check is local",
-            RuntimeWarning,
             stacklevel=2,
         )
     t0 = time.time()

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import GridMismatch
 from .inference import path_statistics_batch
-from .paths import ProcessSpec, sample_state_batch
+from .paths import ProcessSpec, sample_state_chunks
 from .transform import QVTable, TransferKernel
 
 # CGF value outside the finiteness region; the true limit diverges there,
@@ -59,9 +59,6 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Monte Carlo CGF reliability gates
 ESS_RELIABLE = 100.0
 TOP_SHARE_HEAVY = 0.5
-
-# Monte Carlo CGF replications per sampled batch
-_BATCH = 512
 
 
 def cgf_limit(a: float, b: float, theta: float) -> float:
@@ -196,12 +193,11 @@ def empirical_cgf(
     if kernel.grid != qv.grid or kernel.grid != spec.grid:
         raise GridMismatch("spec, kernel and bracket table must share one grid")
     horizon = spec.grid.horizon
-    w = np.empty(reps)
-    for start in range(0, reps, _BATCH):
-        ids = range(start, min(start + _BATCH, reps))
-        states = sample_state_batch(spec, stream, ids)
+    chunks = []
+    for states in sample_state_chunks(spec, stream, reps):
         nums, dens = path_statistics_batch(states, kernel, qv)
-        w[start : start + len(nums)] = a * nums + b * dens
+        chunks.append(a * nums + b * dens)
+    w = np.concatenate(chunks)
 
     m = float(np.max(w))
     p = np.exp(w - m)

@@ -19,6 +19,8 @@ sampled directly.
 replay. `sample_state_batch` reproduces it bit for bit: it derives the Philox
 keys of every replication's substreams in one pass (`RandomStream.child_keys`)
 and re-keys one generator to each, with no SeedSequence per replication.
+Every Monte Carlo consumer draws through `sample_state_chunks`, 512 rows at a
+time, so its memory does not grow with the replication count.
 """
 
 from __future__ import annotations
@@ -40,12 +42,16 @@ _SUB_FBM = 1
 # treated as roundoff and clipped; anything worse raises EmbeddingFailed.
 _EIG_CLIP_REL = 1e-12
 
+# Replications whose paths `sample_state_chunks` holds at once; a row's bits
+# depend only on its replication's stream address, not on its chunk.
+_CHUNK_ROWS = 512
+
 # Rows per FFT block in the circulant embedding: the half spectrum (n + 1
 # complex values, 16 bytes per row and lattice cell), the conjugate copy that
 # `hfft` makes of it and its real 2n-point transform take about 48 bytes per
-# row and lattice cell, so a whole batch at once would dominate a run's peak
-# memory. Rows transform independently, so the block size does not change a
-# single bit of the output.
+# row and lattice cell, so transforming a whole chunk at once would dominate a
+# run's peak memory. Rows transform independently, so the block size does not
+# change a single bit of the output.
 _FFT_ROWS = 64
 
 
@@ -224,3 +230,9 @@ def sample_state_batch(spec: ProcessSpec, base: RandomStream, rep_ids) -> np.nda
     # the filter stage sets the batch's peak memory: hold no input arrays through it
     del d_bm, d_fbm
     return _euler_states(d_mix, 1.0 - spec.theta * dt)
+
+
+def sample_state_chunks(spec: ProcessSpec, base: RandomStream, reps: int):
+    """State batches of replications 0 .. reps - 1 in order, at most _CHUNK_ROWS rows each."""
+    for start in range(0, reps, _CHUNK_ROWS):
+        yield sample_state_batch(spec, base, range(start, min(start + _CHUNK_ROWS, reps)))

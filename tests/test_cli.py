@@ -391,9 +391,22 @@ def test_cell_without_survivors_exits_numerical(tmp_path, settings):
     assert "numerical failure: ExperimentInvalid: no replication gave a finite" in proc.stderr
     assert "H=0.7, T=1e-08, drift 1.0" in proc.stderr
     assert "Traceback" not in proc.stderr
-    # the tails study's own thin-tail notice is the only RuntimeWarning allowed
-    warned = [line for line in proc.stderr.splitlines() if "RuntimeWarning" in line]
-    assert all("importance sampling will be needed" in line for line in warned), warned
+    # the thin-tail notice is a UserWarning: no RuntimeWarning is printed at all
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_tilted_tails_single_survivor(tmp_path):
+    # one tilted replication measures no spread: its interval is [0, 1], not NaN
+    argv = ["experiment", "--out", str(tmp_path)]
+    for item in ["kind=tails", "T=2,4", "cells=16", "reps=1", "tilt=1.4"]:
+        argv += ["--set", item]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mfou.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert (tmp_path / "tails.csv").exists()
+    assert (tmp_path / "tails_manifest.json").exists()
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_help_runs_clean():

@@ -98,6 +98,10 @@ def test_config_validation():
         ExperimentConfig(reps=0)
     with pytest.raises(ConfigError):
         ExperimentConfig(master_seed=-1)
+    # a count that is not whole is rejected, not truncated
+    for name, value in (("cells", 8.9), ("reps", 2.5), ("master_seed", 1.7), ("threads", 1.5)):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            ExperimentConfig(**{name: value})
     with pytest.raises(ConfigError):
         ExperimentConfig(tails=((2.0, 1.0),))
     with pytest.raises(ConfigError):
@@ -269,7 +273,7 @@ def test_tilted_tail_agrees_with_plain():
 
 def test_expected_hits_warning():
     thin = ExperimentConfig(horizons=(20.0,), reps=100, tails=((1.5, math.inf),), cells=64)
-    with pytest.warns(RuntimeWarning, match="importance sampling"):
+    with pytest.warns(UserWarning, match="importance sampling"):
         _expected_hits_warning(thin)
     rich = ExperimentConfig(horizons=(5.0,), reps=5000, tails=((1.5, math.inf),), cells=64)
     with warnings.catch_warnings():
@@ -339,7 +343,7 @@ def test_tail_insufficient_marks_row():
     config = ExperimentConfig(
         hurst=(0.7,), horizons=(2.0,), cells=64, reps=60, tails=((4.0, math.inf),)
     )
-    with pytest.warns(RuntimeWarning):
+    with pytest.warns(UserWarning, match="importance sampling"):
         report = run_tail_slopes(config)
     row = dict(zip(report.columns, report.rows[0]))
     assert row["method"] == "plain"
@@ -395,7 +399,7 @@ def test_h_invariance_narrow_span_warns():
     config = ExperimentConfig(
         hurst=(0.6, 0.7), horizons=(2.0, 4.0), cells=64, reps=400, tails=((1.0, math.inf),)
     )
-    with pytest.warns(RuntimeWarning, match="span"):
+    with pytest.warns(UserWarning, match="span"):
         report = run_h_invariance(config)
     assert len(report.manifest["pairs"]) == 1
     pair = report.manifest["pairs"][0]

@@ -1,10 +1,16 @@
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.signal
 
-from mfou import paths
-from mfou.cli import EXIT_OK, main
+from mfou import DEFAULT_SEED, paths
+from mfou.cli import EXIT_OK, _fmt, main
 from mfou.errors import EmbeddingFailed, LengthMismatch
+from mfou.experiments import ExperimentConfig, run_tail_slopes
+from mfou.inference import estimate_batch
+from mfou.ldp import empirical_cgf
 from mfou.numerics import RandomStream, TimeGrid
 from mfou.paths import (
     ExperimentalHurstWarning,
@@ -15,6 +21,7 @@ from mfou.paths import (
     sample_mixed_path,
     sample_state_batch,
 )
+from mfou.transform import build_kernel, quadratic_variation
 from oracles import (
     NodeSetTooLarge,
     exact_ou_covariance_oracle,
@@ -169,6 +176,57 @@ def test_batch_deterministic_and_rep_keyed():
     c = sample_state_batch(spec, base, range(4, 8))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def _estimate_chunks(tmp_path):
+    argv = ["estimate", "--set", "reps=1300", "--set", "cells=16", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    return (tmp_path / "estimates.csv").read_text().strip().split("\n")[1:]
+
+
+def _tilted_tails_chunks(tmp_path):
+    config = ExperimentConfig(horizons=(2.0,), cells=16, reps=1300, tilt=1.4)
+    run_tail_slopes(config)
+
+
+def _empirical_cgf_chunks(tmp_path):
+    kernel = build_kernel(0.7, TimeGrid(2.0, 16))
+    spec = ProcessSpec(0.7, 1.0, kernel.grid)
+    empirical_cgf(0.0, -0.25, spec, kernel, quadratic_variation(kernel), 1300, RandomStream(5))
+
+
+@pytest.mark.parametrize(
+    "consume",
+    [_estimate_chunks, _tilted_tails_chunks, _empirical_cgf_chunks],
+    ids=["estimate", "tails-tilted", "empirical-cgf"],
+)
+def test_no_consumer_holds_more_than_one_chunk(consume, tmp_path, monkeypatch):
+    # every Monte Carlo consumer draws its 1,300 replications in batches of at most 512
+    rows = Counter()
+    sizes = []
+
+    def recording(spec, base, rep_ids):
+        rep_ids = list(rep_ids)
+        rows[spec.theta] += len(rep_ids)
+        sizes.append(len(rep_ids))
+        return sample_state_batch(spec, base, rep_ids)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("mfou")]:
+        if getattr(module, "sample_state_batch", None) is sample_state_batch:
+            monkeypatch.setattr(module, "sample_state_batch", recording)
+    lines = consume(tmp_path)
+    assert max(sizes) <= 512
+    # one cell per drift: the tilted study's plain and tilted passes draw 1,300 each
+    assert set(rows.values()) == {1300}
+    if lines is not None:
+        # the chunked CSV equals the estimates of one 1,300-row batch
+        kernel = build_kernel(0.7, TimeGrid(10.0, 16))  # the estimate command's default T
+        spec = ProcessSpec(0.7, 1.0, kernel.grid)
+        states = sample_state_batch(spec, RandomStream(DEFAULT_SEED, (0,)), range(1300))
+        columns = estimate_batch(states, kernel, quadratic_variation(kernel))
+        expected = [[_fmt(v) for v in row] for row in zip(*(c.tolist() for c in columns))]
+        assert [line.split(",")[-3:] for line in lines] == expected
+        assert [int(line.split(",")[0]) for line in lines] == list(range(1300))
 
 
 def test_ou_covariance_oracle_closed_form():
